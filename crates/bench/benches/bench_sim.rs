@@ -4,7 +4,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sp_model::config::Config;
 use sp_sim::engine::{SimOptions, Simulation};
-use sp_sim::reference::ReferenceSimulation;
 
 fn bench_sim(c: &mut Criterion) {
     let mut group = c.benchmark_group("sim");
@@ -38,31 +37,5 @@ fn bench_sim(c: &mut Criterion) {
     group.finish();
 }
 
-/// Head-to-head: the reference engine vs the optimized engine on the
-/// same workload and seed. The two produce bitwise-identical metrics
-/// (see `tests/sim_determinism.rs`); this group tracks the wall-clock
-/// gap that `repro_bench` summarizes as `speedup_vs_reference`.
-fn bench_engines(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sim_engines");
-    group.sample_size(10);
-    let cfg = Config {
-        graph_size: 1000,
-        cluster_size: 10,
-        ..Config::default()
-    };
-    let opts = || SimOptions {
-        duration_secs: 600.0,
-        seed: 42,
-        ..Default::default()
-    };
-    group.bench_function(BenchmarkId::new("reference", "1000p_600s"), |b| {
-        b.iter(|| ReferenceSimulation::new(&cfg, opts()).run());
-    });
-    group.bench_function(BenchmarkId::new("fast", "1000p_600s"), |b| {
-        b.iter(|| Simulation::new(&cfg, opts()).run());
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_sim, bench_engines);
+criterion_group!(benches, bench_sim);
 criterion_main!(benches);

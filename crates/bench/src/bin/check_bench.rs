@@ -17,7 +17,7 @@
 //! Baselines are recorded in `paper` mode while CI smoke runs use
 //! `REPRO_QUICK=1`, so the two sides may disagree on workload size.
 //! When modes differ, only mode-independent *ratio* metrics (e.g.
-//! `speedup_vs_reference`) are compared; absolute wall times and event
+//! `speedup_vs_oracle`) are compared; absolute wall times and event
 //! counts are checked only between runs of the same mode.
 
 use std::collections::HashMap;
@@ -78,9 +78,15 @@ struct Rule {
     floor: Option<f64>,
 }
 
+/// `speedup_vs_oracle` is the in-run ratio of the oracle
+/// instantiation's best wall to the production engine's (same process,
+/// interleaved repetitions), so it holds across hosts; it cannot see a
+/// slowdown in code the two instantiations share, which the same-mode
+/// throughput and wall rules cover. `fast_run_allocs` is a
+/// deterministic count, so a lost pooling shows up exactly.
 const SIM_RULES: &[Rule] = &[
     Rule {
-        field: "speedup_vs_reference",
+        field: "speedup_vs_oracle",
         direction: Direction::HigherBetter,
         mode_independent: true,
         floor: None,
@@ -93,6 +99,12 @@ const SIM_RULES: &[Rule] = &[
     },
     Rule {
         field: "fast_wall_s",
+        direction: Direction::LowerBetter,
+        mode_independent: false,
+        floor: None,
+    },
+    Rule {
+        field: "fast_run_allocs",
         direction: Direction::LowerBetter,
         mode_independent: false,
         floor: None,
@@ -420,7 +432,8 @@ mod tests {
   "events_delivered": 100445,
   "fast_wall_s": 1.9,
   "events_per_sec_fast": 52866.0,
-  "speedup_vs_reference": 2.15
+  "speedup_vs_oracle": 2.15,
+  "fast_run_allocs": 6539
 }"#;
 
     fn sim_quick(speedup: f64) -> String {
@@ -431,7 +444,7 @@ mod tests {
   "events_delivered": 8121,
   "fast_wall_s": 0.04,
   "events_per_sec_fast": 203025.0,
-  "speedup_vs_reference": {speedup}
+  "speedup_vs_oracle": {speedup}
 }}"#
         )
     }
@@ -443,7 +456,7 @@ mod tests {
             r.strings.get("bench").map(String::as_str),
             Some("sim_standard_churn_flood")
         );
-        assert_eq!(r.numbers.get("speedup_vs_reference"), Some(&2.15));
+        assert_eq!(r.numbers.get("speedup_vs_oracle"), Some(&2.15));
         assert_eq!(r.numbers.get("events_delivered"), Some(&100445.0));
     }
 
@@ -453,6 +466,11 @@ mod tests {
         // 10× slower wall: caught even though the ratio held.
         let fresh =
             parse_flat_json(&SIM_PAPER.replace("\"fast_wall_s\": 1.9", "\"fast_wall_s\": 19.0"));
+        assert_eq!(check_report("sim", &base, &fresh, 0.25), 1);
+        // Lost pooling: the deterministic allocation count jumps.
+        let fresh = parse_flat_json(
+            &SIM_PAPER.replace("\"fast_run_allocs\": 6539", "\"fast_run_allocs\": 90000"),
+        );
         assert_eq!(check_report("sim", &base, &fresh, 0.25), 1);
         // Identical run: clean.
         assert_eq!(check_report("sim", &base, &base, 0.25), 0);
@@ -474,10 +492,9 @@ mod tests {
         let storm = SIM_PAPER.replace("sim_standard_churn_flood", "sim_crash_storm_faults");
         let base = parse_flat_json(&storm);
         assert_eq!(check_report("faults", &base, &base, 0.25), 0);
-        let regressed = parse_flat_json(&storm.replace(
-            "\"speedup_vs_reference\": 2.15",
-            "\"speedup_vs_reference\": 1.0",
-        ));
+        let regressed = parse_flat_json(
+            &storm.replace("\"speedup_vs_oracle\": 2.15", "\"speedup_vs_oracle\": 1.0"),
+        );
         assert_eq!(check_report("faults", &base, &regressed, 0.25), 1);
     }
 

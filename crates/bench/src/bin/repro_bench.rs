@@ -1,17 +1,18 @@
 //! Performance trajectory for the analysis and simulation engines.
 //!
-//! Three sections, each with a Reference implementation (the original)
-//! and a Fast implementation, verified to agree before any speedup is
-//! reported:
+//! Every section verifies its result before reporting a number; the
+//! churn and analysis sections time the fast path against an oracle
+//! that must agree with it:
 //!
 //! 1. **Simulator** — a standard churn workload (default population,
-//!    cluster size 10, flooding) run under
-//!    `sp_sim::ReferenceSimulation` (binary-heap queue, per-event
-//!    allocations) and `sp_sim::Simulation` (indexed queue with
-//!    O(log n) cancellation, pooled scratch, cached connection counts).
-//!    The engines must produce bitwise-identical metrics. Emits
-//!    `repro_out/BENCH_sim.json` with events/sec, wall time,
-//!    allocations, and peak RSS.
+//!    cluster size 10, flooding) run under `sp_sim::Simulation`
+//!    (indexed queue with O(log n) cancellation, pooled scratch, cached
+//!    connection counts) and its oracle instantiation
+//!    `Simulation<BinaryEventQueue>` (tombstone-keeping binary heap,
+//!    every cache re-derived and asserted at each use). The two must
+//!    produce bitwise-identical metrics; `speedup_vs_oracle` is their
+//!    in-run wall ratio. Emits `repro_out/BENCH_sim.json` with
+//!    events/sec, wall time, allocations, and peak RSS.
 //! 2. **Fault path** — the same churn workload with k = 2 redundancy
 //!    under the canonical crash-storm fault plan, so injection draws,
 //!    the retry/failover state machine, and orphan rejoins are on the
@@ -38,8 +39,8 @@
 //!    (bounded queues, drop-lowest-TTL shedding, client budgets,
 //!    brownout) and once with the measure-only uncontrolled baseline
 //!    (same service rate, unbounded queue). Both runs are executed on
-//!    the fast *and* reference engines and asserted bitwise identical
-//!    before anything is reported. The controlled run must keep
+//!    the production engine *and* its oracle instantiation and
+//!    asserted bitwise identical before anything is reported. The controlled run must keep
 //!    response-latency p99 under the policy's own drain bound and
 //!    account for ≥ 90 % of issued queries as delivered or explicitly
 //!    shed/rejected, while the uncontrolled baseline's p99 diverges.
@@ -74,8 +75,10 @@ use sp_model::overload::OverloadPolicy;
 use sp_model::query_model::QueryModel;
 use sp_model::repair::RepairPolicy;
 use sp_model::trials::resolve_thread_budget;
+use sp_sim::engine::RawMetrics;
+use sp_sim::events::BinaryEventQueue;
 use sp_sim::scenario::{crash_storm_plan, crash_storm_trials, SimTrialOptions};
-use sp_sim::{ReferenceSimulation, ScaleOptions, ShardedSimulation, SimOptions, Simulation};
+use sp_sim::{ScaleOptions, ShardedSimulation, SimOptions, Simulation};
 use sp_stats::SpRng;
 
 /// Counts every heap allocation so the zero-allocation claims for the
@@ -156,6 +159,100 @@ fn write_json(name: &str, json: &str) {
     println!("\nwrote {path}:\n{json}");
 }
 
+/// One churn workload timed on the production engine and its oracle.
+struct EngineRun {
+    /// The last production run (for its observability counters).
+    fast: Simulation,
+    /// The metrics every run of both engines reproduced.
+    metrics: RawMetrics,
+    fast_s: f64,
+    oracle_s: f64,
+    fast_allocs: u64,
+}
+
+impl EngineRun {
+    /// Oracle wall over fast wall: both measured in this process, so
+    /// the ratio is comparable across hosts.
+    fn speedup(&self) -> f64 {
+        self.oracle_s / self.fast_s
+    }
+
+    /// The timing fields shared by `BENCH_sim.json` and
+    /// `BENCH_faults.json`.
+    fn json_fields(&self) -> String {
+        let ev = self.fast.events_delivered() as f64;
+        format!(
+            "  \"oracle_wall_s\": {:.4},\n  \"fast_wall_s\": {:.4},\n  \"events_per_sec_oracle\": {:.1},\n  \"events_per_sec_fast\": {:.1},\n  \"speedup_vs_oracle\": {:.3},\n  \"fast_run_allocs\": {},\n",
+            self.oracle_s,
+            self.fast_s,
+            ev / self.oracle_s,
+            ev / self.fast_s,
+            self.speedup(),
+            self.fast_allocs,
+        )
+    }
+}
+
+/// Times a workload on the production engine and on its oracle
+/// instantiation. Wall-clock noise on a shared machine easily exceeds
+/// the gap being measured, so each engine runs `REPRO_SIM_REPS`
+/// (default 5) times, interleaved (oracle, fast, oracle, fast, ...) so
+/// a machine-load drift cannot systematically favor either, and the
+/// best wall of each is kept. The engines are deterministic, so every
+/// repetition must reproduce the first one's metrics exactly, and the
+/// two engines must agree bitwise before a ratio means anything.
+fn time_engines(
+    fast: impl Fn() -> Simulation,
+    oracle: impl Fn() -> Simulation<BinaryEventQueue>,
+) -> EngineRun {
+    let reps: usize = std::env::var("REPRO_SIM_REPS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .filter(|&r| r >= 1)
+        .unwrap_or(5);
+    let mut oracle_s = f64::INFINITY;
+    let mut fast_s = f64::INFINITY;
+    let mut fast_allocs = 0;
+    let mut metrics: Option<RawMetrics> = None;
+    let mut last = None;
+    for _ in 0..reps {
+        let t = Instant::now();
+        let mut sim = oracle();
+        let m = sim.run();
+        oracle_s = oracle_s.min(t.elapsed().as_secs_f64());
+        let oracle_delivered = sim.events_delivered();
+        let first = metrics.get_or_insert_with(|| m.clone());
+        assert_eq!(first, &m, "oracle engine diverged from the first run");
+
+        let before = allocs();
+        let t = Instant::now();
+        let mut sim = fast();
+        let m = sim.run();
+        fast_s = fast_s.min(t.elapsed().as_secs_f64());
+        fast_allocs = allocs() - before;
+        assert_eq!(first, &m, "fast engine diverged from the oracle");
+        assert_eq!(oracle_delivered, sim.events_delivered());
+        last = Some(sim);
+    }
+    let fast = last.expect("reps >= 1");
+    let ev = fast.events_delivered();
+    println!(
+        "oracle engine: {oracle_s:>8.3} s best of {reps}  ({ev} events, {:.0} events/s)",
+        ev as f64 / oracle_s
+    );
+    println!(
+        "fast engine:   {fast_s:>8.3} s best of {reps}  ({ev} events, {:.0} events/s, {fast_allocs} allocations)",
+        ev as f64 / fast_s
+    );
+    EngineRun {
+        fast,
+        metrics: metrics.expect("reps >= 1"),
+        fast_s,
+        oracle_s,
+        fast_allocs,
+    }
+}
+
 /// The standard churn workload: defaults (heavy-tailed lifespans with a
 /// 1080 s mean, flooding, no adaptation), cluster size 10.
 fn sim_section() {
@@ -175,99 +272,33 @@ fn sim_section() {
         cfg.graph_size
     );
 
-    // Wall-clock noise on a shared machine easily exceeds the gap being
-    // measured (the quick workload runs in tens of milliseconds), so
-    // each engine runs `reps` times and the best wall is recorded — the
-    // same protocol for both engines, so the ratio stays honest. The
-    // engines are deterministic, so every repetition must reproduce the
-    // first repetition's metrics exactly; anything else is a bug.
-    let reps: usize = std::env::var("REPRO_SIM_REPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&r| r >= 1)
-        .unwrap_or(5);
-
-    // Repetitions are interleaved (reference, fast, reference, fast,
-    // ...) so a machine-load drift during the section cannot
-    // systematically favor one engine over the other.
-    let mut reference_s = f64::INFINITY;
-    let mut reference_metrics = None;
-    let mut delivered = 0;
-    let mut fast_s = f64::INFINITY;
-    let mut fast_metrics = None;
-    let mut fast_allocs = 0;
-    let mut fast = None;
-    for _ in 0..reps {
-        let t = Instant::now();
-        let mut reference = ReferenceSimulation::new(&cfg, opts);
-        let metrics = reference.run();
-        let wall = t.elapsed().as_secs_f64();
-        reference_s = reference_s.min(wall);
-        delivered = reference.events_delivered();
-        match &reference_metrics {
-            None => reference_metrics = Some(metrics),
-            Some(prev) => assert_eq!(prev, &metrics, "reference engine is not reproducible"),
-        }
-
-        let before = allocs();
-        let t = Instant::now();
-        let mut sim = Simulation::new(&cfg, opts);
-        let metrics = sim.run();
-        let wall = t.elapsed().as_secs_f64();
-        fast_allocs = allocs() - before;
-        fast_s = fast_s.min(wall);
-        match &fast_metrics {
-            None => fast_metrics = Some(metrics),
-            Some(prev) => assert_eq!(prev, &metrics, "fast engine is not reproducible"),
-        }
-        fast = Some(sim);
-    }
-    let reference_metrics = reference_metrics.expect("reps >= 1");
-    let eps_reference = delivered as f64 / reference_s;
-    println!(
-        "reference engine: {reference_s:>8.3} s best of {reps}  ({delivered} events, {eps_reference:.0} events/s)"
+    let run = time_engines(
+        || Simulation::new(&cfg, opts),
+        || Simulation::<BinaryEventQueue>::build(&cfg, opts, &Default::default()),
     );
-    let fast_metrics = fast_metrics.expect("reps >= 1");
-    let fast = fast.expect("reps >= 1");
-    let eps_fast = fast.events_delivered() as f64 / fast_s;
+    let obs = run.fast.observability();
     println!(
-        "fast engine:      {fast_s:>8.3} s best of {reps}  ({} events, {eps_fast:.0} events/s, {fast_allocs} allocations)",
-        fast.events_delivered()
-    );
-
-    // The engines must agree — bitwise — before a speedup means anything.
-    assert_eq!(
-        reference_metrics, fast_metrics,
-        "sim engines diverged on the benchmark workload"
-    );
-    assert_eq!(delivered, fast.events_delivered());
-
-    let speedup = reference_s / fast_s;
-    let obs = fast.observability();
-    println!(
-        "speedup vs reference: {speedup:.2}x  (queue high water {}, {} cancelled, {} stale)",
-        obs.queue_high_water, obs.cancelled, obs.stale
+        "speedup vs oracle: {:.2}x  (queue high water {}, {} cancelled, {} stale)",
+        run.speedup(),
+        obs.queue_high_water,
+        obs.cancelled,
+        obs.stale
     );
 
     // Snapshot *before* the analysis section allocates its much larger
     // instance, so this number is attributable to the simulator.
     let rss = peak_rss_kb();
     let json = format!(
-        "{{\n  \"bench\": \"sim_standard_churn_flood\",\n  \"mode\": \"{mode}\",\n  \"graph_size\": {gs},\n  \"duration_secs\": {dur},\n  \"seed\": {seed},\n  \"events_delivered\": {ev},\n  \"events_cancelled\": {cancelled},\n  \"events_stale\": {stale},\n  \"queue_high_water\": {hw},\n  \"reference_wall_s\": {refs:.4},\n  \"fast_wall_s\": {fs:.4},\n  \"events_per_sec_reference\": {epr:.1},\n  \"events_per_sec_fast\": {epf:.1},\n  \"speedup_vs_reference\": {sp:.3},\n  \"fast_run_allocs\": {fa},\n  \"peak_rss_kb\": {rss}\n}}\n",
+        "{{\n  \"bench\": \"sim_standard_churn_flood\",\n  \"mode\": \"{mode}\",\n  \"graph_size\": {gs},\n  \"duration_secs\": {dur},\n  \"seed\": {seed},\n  \"events_delivered\": {ev},\n  \"events_cancelled\": {cancelled},\n  \"events_stale\": {stale},\n  \"queue_high_water\": {hw},\n{timing}  \"peak_rss_kb\": {rss}\n}}\n",
         mode = if quick_mode() { "quick" } else { "paper" },
         gs = cfg.graph_size,
         dur = duration_secs,
         seed = opts.seed,
-        ev = delivered,
+        ev = run.fast.events_delivered(),
         cancelled = obs.cancelled,
         stale = obs.stale,
         hw = obs.queue_high_water,
-        refs = reference_s,
-        fs = fast_s,
-        epr = eps_reference,
-        epf = eps_fast,
-        sp = speedup,
-        fa = fast_allocs,
+        timing = run.json_fields(),
         rss = rss_json(rss),
     );
     write_json("BENCH_sim.json", &json);
@@ -299,89 +330,34 @@ fn faults_section() {
         cfg.graph_size
     );
 
-    let reps: usize = std::env::var("REPRO_SIM_REPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&r| r >= 1)
-        .unwrap_or(5);
-
-    // Same interleaved best-of-reps protocol as the sim section.
-    let mut reference_s = f64::INFINITY;
-    let mut reference_metrics = None;
-    let mut delivered = 0;
-    let mut fast_s = f64::INFINITY;
-    let mut fast_metrics = None;
-    let mut fast_allocs = 0;
-    let mut fast = None;
-    for _ in 0..reps {
-        let t = Instant::now();
-        let mut reference = ReferenceSimulation::with_faults(&cfg, opts, &plan);
-        let metrics = reference.run();
-        let wall = t.elapsed().as_secs_f64();
-        reference_s = reference_s.min(wall);
-        delivered = reference.events_delivered();
-        match &reference_metrics {
-            None => reference_metrics = Some(metrics),
-            Some(prev) => assert_eq!(prev, &metrics, "reference engine is not reproducible"),
-        }
-
-        let before = allocs();
-        let t = Instant::now();
-        let mut sim = Simulation::with_faults(&cfg, opts, &plan);
-        let metrics = sim.run();
-        let wall = t.elapsed().as_secs_f64();
-        fast_allocs = allocs() - before;
-        fast_s = fast_s.min(wall);
-        match &fast_metrics {
-            None => fast_metrics = Some(metrics),
-            Some(prev) => assert_eq!(prev, &metrics, "fast engine is not reproducible"),
-        }
-        fast = Some(sim);
-    }
-    let reference_metrics = reference_metrics.expect("reps >= 1");
-    let fast_metrics = fast_metrics.expect("reps >= 1");
-    let fast = fast.expect("reps >= 1");
-    assert_eq!(
-        reference_metrics, fast_metrics,
-        "sim engines diverged on the fault-path workload"
+    let run = time_engines(
+        || Simulation::with_faults(&cfg, opts, &plan),
+        || Simulation::<BinaryEventQueue>::build(&cfg, opts, &plan),
     );
-    assert_eq!(delivered, fast.events_delivered());
-    let f = &fast_metrics.faults;
+    let f = &run.metrics.faults;
     assert!(
         f.conserved(),
         "fault accounting leaked queries on the benchmark workload"
     );
-
-    let eps_reference = delivered as f64 / reference_s;
-    let eps_fast = fast.events_delivered() as f64 / fast_s;
-    let speedup = reference_s / fast_s;
     println!(
-        "reference engine: {reference_s:>8.3} s best of {reps}  ({delivered} events, {eps_reference:.0} events/s)"
-    );
-    println!(
-        "fast engine:      {fast_s:>8.3} s best of {reps}  ({} events, {eps_fast:.0} events/s, {fast_allocs} allocations)",
-        fast.events_delivered()
-    );
-    println!(
-        "speedup vs reference: {speedup:.2}x  ({} crashed, {} dropped, {} lost of {} issued)",
-        f.injected_crash, f.injected_drop, f.queries_lost, f.queries_issued
+        "speedup vs oracle: {:.2}x  ({} crashed, {} dropped, {} lost of {} issued)",
+        run.speedup(),
+        f.injected_crash,
+        f.injected_drop,
+        f.queries_lost,
+        f.queries_issued
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"sim_crash_storm_faults\",\n  \"mode\": \"{mode}\",\n  \"graph_size\": {gs},\n  \"duration_secs\": {dur},\n  \"seed\": {seed},\n  \"fault_seed\": {fseed},\n  \"fault_plan_len\": {fpl},\n  \"events_delivered\": {ev},\n  \"reference_wall_s\": {refs:.4},\n  \"fast_wall_s\": {fs:.4},\n  \"events_per_sec_reference\": {epr:.1},\n  \"events_per_sec_fast\": {epf:.1},\n  \"speedup_vs_reference\": {sp:.3},\n  \"fast_run_allocs\": {fa},\n  \"queries_issued\": {qi},\n  \"queries_lost\": {ql},\n  \"recovered_retry\": {rr},\n  \"recovered_failover\": {rf},\n  \"injected_crash\": {ic},\n  \"injected_drop\": {id}\n}}\n",
+        "{{\n  \"bench\": \"sim_crash_storm_faults\",\n  \"mode\": \"{mode}\",\n  \"graph_size\": {gs},\n  \"duration_secs\": {dur},\n  \"seed\": {seed},\n  \"fault_seed\": {fseed},\n  \"fault_plan_len\": {fpl},\n  \"events_delivered\": {ev},\n{timing}  \"queries_issued\": {qi},\n  \"queries_lost\": {ql},\n  \"recovered_retry\": {rr},\n  \"recovered_failover\": {rf},\n  \"injected_crash\": {ic},\n  \"injected_drop\": {id}\n}}\n",
         mode = if quick_mode() { "quick" } else { "paper" },
         gs = cfg.graph_size,
         dur = duration_secs,
         seed = opts.seed,
         fseed = opts.fault_seed,
         fpl = plan.faults.len(),
-        ev = delivered,
-        refs = reference_s,
-        fs = fast_s,
-        epr = eps_reference,
-        epf = eps_fast,
-        sp = speedup,
-        fa = fast_allocs,
+        ev = run.fast.events_delivered(),
+        timing = run.json_fields(),
         qi = f.queries_issued,
         ql = f.queries_lost,
         rr = f.recovered_retry,
@@ -525,11 +501,11 @@ fn overload_section() {
         let mut plan = plan.clone();
         plan.overload = policy;
         plan.validate().expect("benchmark plan validates");
-        let mut fast = Simulation::with_scenario(&cfg, opts, &plan);
-        let fast_metrics = fast.run();
-        let reference_metrics = ReferenceSimulation::with_scenario(&cfg, opts, &plan).run();
+        let fast_metrics = Simulation::with_scenario(&cfg, opts, &plan).run();
+        let oracle_metrics =
+            Simulation::<BinaryEventQueue>::build_scenario(&cfg, opts, &plan).run();
         assert_eq!(
-            fast_metrics, reference_metrics,
+            fast_metrics, oracle_metrics,
             "churn engines diverged on the {label} overload workload"
         );
         assert!(

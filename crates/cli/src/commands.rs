@@ -13,7 +13,6 @@ use sp_core::model::trials::{resolve_thread_budget, TrialOptions};
 use sp_core::report::{ci, sci, Table};
 use sp_core::sim::campaign::{run_campaign_with, CampaignOptions, CampaignResume};
 use sp_core::sim::engine::{RawMetrics, SimOptions, Simulation};
-use sp_core::sim::reference::ReferenceSimulation;
 use sp_core::sim::scenario::{
     crash_storm, crash_storm_trials, reliability, steady_trials, SimReport, SimTrialOptions,
 };
@@ -356,7 +355,7 @@ static SIMULATE_USAGE: CommandUsage = CommandUsage {
 
 static CAMPAIGN_USAGE: CommandUsage = CommandUsage {
     name: "campaign",
-    summary: "differential scenario fuzz campaign (the standing CI gate)\nGenerates seeded ScenarioPlans and runs each through both the fast\nand the reference engine under a bitwise oracle; any divergence\nwrites a self-contained reproducer JSON and exits 1.",
+    summary: "differential scenario fuzz campaign (the standing CI gate)\nGenerates seeded ScenarioPlans and runs each through the production\nchurn engine and its self-verifying oracle instantiation under a\nbitwise oracle; any divergence writes a self-contained reproducer\nJSON and exits 1.",
     options: &[
         ("--count N", "scenarios to generate and run (default 32)"),
         (
@@ -1297,7 +1296,11 @@ fn simulate_resume(args: &Args, path: &str) -> Result<String, CliError> {
             }
             Ok(scale_report(&m, &diag, true, overload_active))
         }
-        engine @ (ENGINE_FAST | ENGINE_REFERENCE) => {
+        ENGINE_REFERENCE => Err(CliError::Runtime(format!(
+            "--resume: {path}: reference-engine checkpoints are no longer supported; \
+             re-run the simulation to produce a fast-engine checkpoint"
+        ))),
+        ENGINE_FAST => {
             if args.get("shards").is_some()
                 || args.get("barrier-timeout-ticks").is_some()
                 || args.get("inject-shard-panic").is_some()
@@ -1308,29 +1311,17 @@ fn simulate_resume(args: &Args, path: &str) -> Result<String, CliError> {
                         .into(),
                 ));
             }
-            let (raw, name) = if engine == ENGINE_FAST {
-                let mut sim = Simulation::restore(&data).map_err(restored)?;
-                check_overload(sim.overload_active())?;
-                let start = std::time::Instant::now();
-                let raw = sim.run();
-                if let Some(p) = metrics_json {
-                    let manifest = sim.manifest(start.elapsed().as_secs_f64());
-                    std::fs::write(p, manifest.to_json()).map_err(|e| {
-                        CliError::Runtime(format!("--metrics-json: cannot write {p:?}: {e}"))
-                    })?;
-                }
-                (raw, "fast")
-            } else {
-                if metrics_json.is_some() {
-                    return Err(CliError::Usage(
-                        "the reference engine keeps no run manifest; drop --metrics-json".into(),
-                    ));
-                }
-                let mut sim = ReferenceSimulation::restore(&data).map_err(restored)?;
-                check_overload(sim.overload_active())?;
-                (sim.run(), "reference")
-            };
-            Ok(resumed_report(raw, name))
+            let mut sim = Simulation::restore(&data).map_err(restored)?;
+            check_overload(sim.overload_active())?;
+            let start = std::time::Instant::now();
+            let raw = sim.run();
+            if let Some(p) = metrics_json {
+                let manifest = sim.manifest(start.elapsed().as_secs_f64());
+                std::fs::write(p, manifest.to_json()).map_err(|e| {
+                    CliError::Runtime(format!("--metrics-json: cannot write {p:?}: {e}"))
+                })?;
+            }
+            Ok(resumed_report(raw))
         }
         other => Err(CliError::Runtime(format!(
             "--resume: {path}: unknown engine tag {other}"
@@ -1340,10 +1331,10 @@ fn simulate_resume(args: &Args, path: &str) -> Result<String, CliError> {
 
 /// Report table for a resumed churn-engine run: the core metrics plus
 /// a flat line scripted checks can diff against the uninterrupted run.
-fn resumed_report(raw: RawMetrics, engine: &str) -> String {
+fn resumed_report(raw: RawMetrics) -> String {
     let r = SimReport::from_raw(raw);
     let mut t = Table::new(vec!["Metric", "Value"]);
-    t.row(vec!["engine".into(), engine.into()]);
+    t.row(vec!["engine".into(), "fast".into()]);
     t.row(vec!["queries simulated".into(), r.queries.to_string()]);
     t.row(vec![
         "results per query".into(),
@@ -1360,7 +1351,7 @@ fn resumed_report(raw: RawMetrics, engine: &str) -> String {
         r.cluster_failures.to_string(),
     ]);
     format!(
-        "{}\nresumed run ({engine}): queries {}, results/query {:.1}, availability {:.4}",
+        "{}\nresumed run (fast): queries {}, results/query {:.1}, availability {:.4}",
         t.render(),
         r.queries,
         r.results_per_query,
@@ -1476,8 +1467,9 @@ pub fn lint(args: &Args) -> Result<String, CliError> {
 
 /// `spnet campaign` — the differential scenario campaign: `--count`
 /// seeded [`ScenarioPlan`]s generated from `--seed`, each run through
-/// both the fast and the reference engine with a bitwise oracle
-/// (metrics equality, query conservation, bounded availability).
+/// the production churn engine and its self-verifying oracle
+/// instantiation with a bitwise oracle (metrics equality, query
+/// conservation, bounded availability).
 ///
 /// A green campaign prints a coverage table plus a flat summary line
 /// whose fingerprint is thread-count-invariant (CI pins it). Any
@@ -2528,6 +2520,24 @@ mod tests {
         let err = simulate(&args(&["--users", "100", "--checkpoint-dir", "d"])).unwrap_err();
         assert_eq!(err.exit_code(), 2);
         assert!(err.to_string().contains("--checkpoint-every"));
+    }
+
+    #[test]
+    fn simulate_resume_rejects_reference_engine_checkpoints_by_name() {
+        // Tag 2 stays reserved for the retired reference engine.
+        let path = std::env::temp_dir().join("spnet_cli_resume_reference_tag_test.snap");
+        let mut w = sp_core::model::snapshot::SnapWriter::new();
+        w.u64(7);
+        std::fs::write(&path, w.seal(ENGINE_REFERENCE)).unwrap();
+        let err = simulate(&args(&["--resume", path.to_str().unwrap()])).unwrap_err();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(err.exit_code(), 1);
+        let msg = err.to_string();
+        assert!(
+            msg.contains("reference-engine checkpoints are no longer supported"),
+            "{msg}"
+        );
+        assert_eq!(msg.lines().count(), 1, "{msg}");
     }
 
     #[test]

@@ -157,7 +157,6 @@ impl Default for LintConfig {
                 "sp_bench",
                 "sp_model::trials",
                 "sp_sim::engine",
-                "sp_sim::reference",
                 "sp_sim::campaign",
                 "sp_sim::scenario",
                 "sp_sim::phases",

@@ -24,8 +24,7 @@
 //!
 //! The policy lives in `sp_model` (not `sp_sim`) for the same reason
 //! [`crate::faults::FaultPlan`] does: configuration types stay
-//! engine-agnostic and are consumed identically by the fast and
-//! reference engines.
+//! engine-agnostic and are consumed identically by every engine.
 
 use std::fmt;
 

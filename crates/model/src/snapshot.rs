@@ -37,8 +37,9 @@ pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Engine tag: the fast churn engine (`sp_sim::engine::Simulation`).
 pub const ENGINE_FAST: u8 = 1;
-/// Engine tag: the reference churn engine
-/// (`sp_sim::reference::ReferenceSimulation`).
+/// Engine tag of the retired reference churn engine. Reserved: never
+/// reuse it, so an old checkpoint carrying it fails by name instead of
+/// being misread by another engine.
 pub const ENGINE_REFERENCE: u8 = 2;
 /// Engine tag: the sharded scale engine
 /// (`sp_sim::shard::ShardedSimulation`).

@@ -1,5 +1,5 @@
 //! Differential scenario-campaign runner: the standing fuzz gate for
-//! the two-engine determinism contract.
+//! the churn engine's determinism contract.
 //!
 //! A campaign fans `count` seeded scenarios across worker threads via
 //! the same thread-budget cascade as every other multi-trial driver
@@ -12,18 +12,22 @@
 //!    capacity classes, an embedded fault plan, a repair policy),
 //! 2. a simulation seed, fault seed, and scenario seed,
 //!
-//! and the scenario runs through **both** engines
-//! ([`Simulation`] and [`ReferenceSimulation`]) with identical
-//! options. The differential oracle then demands
+//! and the scenario runs through **both** instantiations of the churn
+//! engine with identical options: the production
+//! [`Simulation`] and the oracle `Simulation<BinaryEventQueue>`, whose
+//! tombstone-keeping queue and per-use cache re-derivation assert
+//! every shortcut of the production engine as it runs (a failed
+//! assertion is a panic, so the scenario is quarantined). The
+//! differential oracle then demands
 //!
-//! * bitwise-equal [`RawMetrics`] from the two engines (the
-//!   first differing field is named in the divergence reason),
+//! * bitwise-equal [`RawMetrics`] from the two runs (the first
+//!   differing field is named in the divergence reason),
 //! * query conservation ([`FaultMetrics::conserved`]
-//!   — every issued query accounted exactly once) in both engines,
+//!   — every issued query accounted exactly once),
 //! * the **extended** conservation identity when the generated plan
 //!   carries an overload policy
 //!   ([`OverloadMetrics::conserved`](crate::overload::OverloadMetrics::conserved)
-//!   — issued = lost + delivered + shed + rejected), in both engines,
+//!   — issued = lost + delivered + shed + rejected),
 //! * sane repair/availability invariants (fractions inside `[0, 1]`).
 //!
 //! Because the campaign fingerprint hashes the full `RawMetrics`
@@ -62,7 +66,7 @@ use sp_model::trials::panic_message;
 use sp_stats::SpRng;
 
 use crate::engine::{RawMetrics, SimOptions, Simulation};
-use crate::reference::ReferenceSimulation;
+use crate::events::BinaryEventQueue;
 use crate::scenario::{run_sim_trials, SimTrialOptions};
 
 /// Version of the campaign-report JSON this module writes; a report
@@ -112,11 +116,11 @@ pub struct ScenarioOutcome {
     pub index: usize,
     /// The split-derived trial seed this scenario expanded from.
     pub trial_seed: u64,
-    /// Main simulation seed fed to both engines.
+    /// Main simulation seed fed to both runs.
     pub sim_seed: u64,
-    /// Dedicated fault-stream seed fed to both engines.
+    /// Dedicated fault-stream seed fed to both runs.
     pub fault_seed: u64,
-    /// Dedicated scenario-stream seed fed to both engines.
+    /// Dedicated scenario-stream seed fed to both runs.
     pub scenario_seed: u64,
     /// Phase kinds exercised, in declaration order.
     pub phase_kinds: Vec<&'static str>,
@@ -126,7 +130,7 @@ pub struct ScenarioOutcome {
     pub capacity_classes: usize,
     /// Repair policy the scenario healed with.
     pub repair: RepairPolicy,
-    /// FNV-1a fingerprint of the fast engine's metrics.
+    /// FNV-1a fingerprint of the production run's metrics.
     pub fingerprint: u64,
     /// Why the oracle rejected this scenario (`None` = passed).
     pub divergence: Option<String>,
@@ -690,7 +694,8 @@ pub fn run_campaign_with(
     }
 }
 
-/// Expands one trial seed into a scenario, runs both engines, and
+/// Expands one trial seed into a scenario, runs both queue
+/// instantiations of the engine, and
 /// applies the differential oracle. A `completed_fingerprint` from a
 /// resume skips the engine runs (the plan is still regenerated — RNG
 /// only — so coverage tables stay exact); a panic in either engine is
@@ -748,11 +753,11 @@ fn run_one(
             panic!("injected campaign panic (test hook) at scenario {index}");
         }
         let fast = Simulation::with_scenario(config, opts, &plan).run();
-        let reference = ReferenceSimulation::with_scenario(config, opts, &plan).run();
-        (fast, reference)
+        let verified = Simulation::<BinaryEventQueue>::build_scenario(config, opts, &plan).run();
+        (fast, verified)
     })) {
-        Ok((fast, reference)) => {
-            let divergence = oracle(&fast, &reference, !plan.overload.is_empty());
+        Ok((fast, verified)) => {
+            let divergence = oracle(&fast, &verified, !plan.overload.is_empty());
             base(fingerprint(&fast), divergence, None, Vec::new())
         }
         Err(payload) => {
@@ -768,17 +773,17 @@ fn run_one(
     }
 }
 
-/// The differential oracle: engine equality, conservation, and range
-/// invariants. With an active overload policy the extended identity
-/// (issued = lost + delivered + shed + rejected) is demanded too.
-/// Returns the first failure's description.
-fn oracle(fast: &RawMetrics, reference: &RawMetrics, overload_active: bool) -> Option<String> {
-    if fast != reference {
-        return Some(describe_divergence(fast, reference));
+/// The differential oracle: equality of the production and oracle
+/// runs, conservation, and range invariants. With an active overload
+/// policy the extended identity (issued = lost + delivered + shed +
+/// rejected) is demanded too. Returns the first failure's description.
+fn oracle(fast: &RawMetrics, verified: &RawMetrics, overload_active: bool) -> Option<String> {
+    if fast != verified {
+        return Some(describe_divergence(fast, verified));
     }
     if !fast.faults.conserved() {
         return Some(format!(
-            "fast engine violates query conservation: issued {} != direct {} + retry {} \
+            "engine violates query conservation: issued {} != direct {} + retry {} \
              + failover {} + lost {}",
             fast.faults.queries_issued,
             fast.faults.answered_direct,
@@ -787,32 +792,20 @@ fn oracle(fast: &RawMetrics, reference: &RawMetrics, overload_active: bool) -> O
             fast.faults.queries_lost
         ));
     }
-    if !reference.faults.conserved() {
-        return Some("reference engine violates query conservation".to_string());
-    }
-    if overload_active {
-        if !fast
+    if overload_active
+        && !fast
             .overload
             .conserved(fast.faults.queries_issued, fast.faults.queries_lost)
-        {
-            return Some(format!(
-                "fast engine violates extended overload conservation: issued {} != \
-                 lost {} + delivered {} + shed {} + rejected {}",
-                fast.faults.queries_issued,
-                fast.faults.queries_lost,
-                fast.overload.delivered,
-                fast.overload.shed_discipline
-                    + fast.overload.shed_dead
-                    + fast.overload.shed_residual,
-                fast.overload.rejected_queue + fast.overload.rejected_budget
-            ));
-        }
-        if !reference.overload.conserved(
-            reference.faults.queries_issued,
-            reference.faults.queries_lost,
-        ) {
-            return Some("reference engine violates extended overload conservation".to_string());
-        }
+    {
+        return Some(format!(
+            "engine violates extended overload conservation: issued {} != \
+             lost {} + delivered {} + shed {} + rejected {}",
+            fast.faults.queries_issued,
+            fast.faults.queries_lost,
+            fast.overload.delivered,
+            fast.overload.shed_discipline + fast.overload.shed_dead + fast.overload.shed_residual,
+            fast.overload.rejected_queue + fast.overload.rejected_budget
+        ));
     }
     let avail = fast.availability();
     if !(0.0..=1.0).contains(&avail) {
@@ -827,31 +820,31 @@ fn oracle(fast: &RawMetrics, reference: &RawMetrics, overload_active: bool) -> O
 
 /// Names the first differing metrics field so a nightly log localizes
 /// the divergence without a debugger.
-fn describe_divergence(fast: &RawMetrics, reference: &RawMetrics) -> String {
-    let field = if fast.queries != reference.queries {
-        format!("queries ({} vs {})", fast.queries, reference.queries)
-    } else if fast.cluster_failures != reference.cluster_failures {
+fn describe_divergence(fast: &RawMetrics, verified: &RawMetrics) -> String {
+    let field = if fast.queries != verified.queries {
+        format!("queries ({} vs {})", fast.queries, verified.queries)
+    } else if fast.cluster_failures != verified.cluster_failures {
         format!(
             "cluster_failures ({} vs {})",
-            fast.cluster_failures, reference.cluster_failures
+            fast.cluster_failures, verified.cluster_failures
         )
-    } else if fast.orphan_events != reference.orphan_events {
+    } else if fast.orphan_events != verified.orphan_events {
         format!(
             "orphan_events ({} vs {})",
-            fast.orphan_events, reference.orphan_events
+            fast.orphan_events, verified.orphan_events
         )
-    } else if fast.faults != reference.faults {
+    } else if fast.faults != verified.faults {
         "faults (injection/recovery counters)".to_string()
-    } else if fast.repair != reference.repair {
+    } else if fast.repair != verified.repair {
         "repair (promotion/reachability accounting)".to_string()
-    } else if fast.overload != reference.overload {
+    } else if fast.overload != verified.overload {
         "overload (queue/shed/brownout ledger)".to_string()
-    } else if fast.timeline != reference.timeline {
+    } else if fast.timeline != verified.timeline {
         "timeline samples".to_string()
-    } else if fast.client_connected_secs.to_bits() != reference.client_connected_secs.to_bits() {
+    } else if fast.client_connected_secs.to_bits() != verified.client_connected_secs.to_bits() {
         format!(
             "client_connected_secs ({} vs {})",
-            fast.client_connected_secs, reference.client_connected_secs
+            fast.client_connected_secs, verified.client_connected_secs
         )
     } else {
         "load statistics".to_string()

@@ -3,8 +3,8 @@
 //! The container format and primitives live in
 //! [`sp_model::snapshot`]; this module encodes the *configuration*
 //! half of an engine snapshot — [`Config`], [`SimOptions`], and the
-//! public metrics structs — so the fast, reference, and sharded
-//! engines can all embed a self-describing header and a restored run
+//! public metrics structs — so the churn and sharded engines can both
+//! embed a self-describing header and a restored run
 //! needs no flags beyond `--resume <file>`.
 //!
 //! Everything here is a straight field-by-field binary codec: floats

@@ -25,12 +25,11 @@
 //!   own rediscovery timer fires — the quantity behind the
 //!   reliability experiment.
 //!
-//! # Performance mechanics
+//! # Performance mechanics and the oracle
 //!
-//! This engine and [`ReferenceSimulation`](crate::reference) implement
-//! the *same simulator* — identical behavior, RNG consumption, and
-//! [`RawMetrics`] on every seed (enforced by `tests/sim_determinism.rs`)
-//! — but this one is built for throughput:
+//! [`Simulation`] is generic over its [`EventQueue`]. The production
+//! instantiation (`Simulation<IndexedEventQueue>`, the default) is
+//! built for throughput:
 //!
 //! * the [`IndexedEventQueue`] cancels a departed peer's pending
 //!   query/update/rejoin timers in O(log n) instead of leaving
@@ -41,11 +40,19 @@
 //!   of per-event `Vec` clones;
 //! * connection counts come from the network's incrementally maintained
 //!   `neighbor_partner_links` cache (O(1) per message instead of
-//!   O(degree)), snapshotted once per flood.
+//!   O(degree)), snapshotted once per flood, and k = 1 round-robin
+//!   advances are deferred to one flush per query.
 //!
 //! Every shortcut is exact — integer-derived values, identical
 //! iteration order, untouched RNG call sites — so the determinism
-//! contract is bitwise, not approximate.
+//! contract is bitwise, not approximate. `Simulation<BinaryEventQueue>`
+//! is the oracle that checks it: the same handlers over a queue that
+//! cannot cancel (tombstones reach the generation guard in `dispatch`),
+//! with [`EventQueue::VERIFY`] set so every cache above is re-derived
+//! the slow way and asserted equal at each use. The two instantiations
+//! must produce identical [`RawMetrics`] on every seed
+//! (`tests/sim_determinism.rs`, the scenario campaign). `VERIFY` is a
+//! `const`, so the production hot path compiles without the checks.
 
 use sp_design::local_rules::{advise, LocalAction, LocalView};
 use sp_graph::PartitionMonitor;
@@ -64,7 +71,9 @@ use sp_model::snapshot::{SnapReader, SnapWriter, SnapshotError, ENGINE_FAST};
 
 use crate::checkpoint;
 
-use crate::events::{ClusterId, Event, EventHandle, IndexedEventQueue, PeerId, SimTime};
+use crate::events::{
+    ClusterId, Event, EventHandle, EventQueue, IndexedEventQueue, PeerId, SimTime,
+};
 use crate::faults::{FaultMetrics, FaultState, QueryOutcome, Submission};
 use crate::metrics::{EventKind, ProfileTimer, RunManifest, SimMetrics};
 use crate::network::SimNetwork;
@@ -253,11 +262,14 @@ impl RawMetrics {
     }
 }
 
-/// The simulation engine.
-pub struct Simulation {
+/// The simulation engine, generic over its event queue: the default
+/// [`IndexedEventQueue`] makes the production engine, a
+/// [`BinaryEventQueue`](crate::events::BinaryEventQueue) the
+/// self-verifying oracle (see the module docs).
+pub struct Simulation<Q: EventQueue = IndexedEventQueue> {
     /// Mutable network state (public for scenario inspection).
     pub net: SimNetwork,
-    queue: IndexedEventQueue,
+    queue: Q,
     rng: SpRng,
     now: SimTime,
 
@@ -324,6 +336,10 @@ pub struct Simulation {
     /// Per-cluster flood scratch (visit stamp + discovery-time
     /// snapshot), indexed by cluster slot; see [`FloodSlot`].
     flood: Vec<FloodSlot>,
+    /// Oracle only ([`EventQueue::VERIFY`]): per-cluster round-robin
+    /// cursors advanced immediately at every pick of the current
+    /// query, the value each deferred bump flush must reproduce.
+    verify_rr: Vec<usize>,
 }
 
 /// Per-cluster flood scratch, merged into a single record so the hot
@@ -332,8 +348,8 @@ pub struct Simulation {
 ///
 /// Snapshot fields are written at discovery and are exact for the
 /// whole event: membership, files, and the overlay cannot change
-/// mid-query, so the values equal the reference engine's per-use
-/// recomputation.
+/// mid-query, so the values equal a per-use recomputation (which the
+/// oracle performs and asserts, see `verify_slot`).
 #[derive(Clone, Copy, Default)]
 struct FloodSlot {
     /// Visit stamp (equals `Simulation::stamp_cur` when visited by the
@@ -369,7 +385,7 @@ impl Simulation {
     ///
     /// Panics if the configuration is invalid.
     pub fn new(config: &Config, opts: SimOptions) -> Self {
-        Self::with_faults(config, opts, &FaultPlan::default())
+        Self::build(config, opts, &FaultPlan::default())
     }
 
     /// Builds a simulation that injects the given fault plan. The plan
@@ -380,7 +396,7 @@ impl Simulation {
     ///
     /// Panics if the configuration or the fault plan is invalid.
     pub fn with_faults(config: &Config, opts: SimOptions, plan: &FaultPlan) -> Self {
-        Self::build(config, opts, plan, &ScenarioPlan::default())
+        Self::build(config, opts, plan)
     }
 
     /// Builds a simulation that plays the given scenario plan: phased
@@ -396,22 +412,187 @@ impl Simulation {
     ///
     /// Panics if the configuration or the scenario plan is invalid.
     pub fn with_scenario(config: &Config, opts: SimOptions, plan: &ScenarioPlan) -> Self {
+        Self::build_scenario(config, opts, plan)
+    }
+
+    /// Serializes the full mutable state of the run into a versioned,
+    /// integrity-checked snapshot (see [`sp_model::snapshot`] and
+    /// DESIGN.md §17).
+    ///
+    /// Everything a resumed run observes is captured bitwise: both RNG
+    /// streams' positions, the event queue verbatim (slab, free list,
+    /// heap layout — the free-list order decides future handle
+    /// assignment), the network slabs with their generation counters,
+    /// accumulated metrics, fault/scenario window state, and the
+    /// per-slot timer handles. Pure scratch (flood stamps, BFS buffers,
+    /// the partition monitor's epoch-rebuilt union-find) is *not*
+    /// serialized — it is empty between events by construction.
+    pub fn snapshot(&self) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        checkpoint::snap_config(&self.config, &mut w);
+        checkpoint::snap_opts(&self.opts, &mut w);
+        w.str(&self.faults.plan().to_json());
+        w.str(&self.scenario_plan.to_json());
+        w.f64(self.now);
+        for s in self.rng.state() {
+            w.u64(s);
+        }
+        self.queue.snap(&mut w, |e, w| e.snap(w));
+        self.net.snap(&mut w);
+        checkpoint::snap_raw_metrics(&self.metrics, &mut w);
+        checkpoint::snap_sim_metrics(&self.obs, &mut w);
+        self.faults.snap_state(&mut w);
+        checkpoint::snap_repair_pending(&self.repair_pending, &mut w);
+        self.scenario.snap_state(&mut w);
+        self.overload.snap_state(&mut w);
+        for handles in [
+            &self.leave_h,
+            &self.query_h,
+            &self.update_h,
+            &self.rejoin_h,
+            &self.adapt_h,
+        ] {
+            w.len(handles.len());
+            for h in handles {
+                h.snap(&mut w);
+            }
+        }
+        w.bool(self.in_fault_crash);
+        w.seal(ENGINE_FAST)
+    }
+
+    /// Rebuilds a simulation from a snapshot produced by
+    /// [`Simulation::snapshot`]. Resuming the result with
+    /// [`run`](Self::run) (or further [`run_to`](Self::run_to) steps)
+    /// yields metrics bitwise identical to the uninterrupted run.
+    ///
+    /// The embedded config and plans are re-validated, so a crafted or
+    /// corrupted payload fails with a named [`SnapshotError`] instead
+    /// of panicking; derived state (query model, fault windows,
+    /// scenario tables) is rebuilt from them rather than trusted from
+    /// the wire.
+    pub fn restore(data: &[u8]) -> Result<Simulation, SnapshotError> {
+        let mut r = SnapReader::open(data)?;
+        r.expect_engine(ENGINE_FAST)?;
+        let config = checkpoint::unsnap_config(&mut r)?;
+        config
+            .validate()
+            .map_err(|e| SnapshotError::Malformed(format!("embedded config: {e}")))?;
+        let opts = checkpoint::unsnap_opts(&mut r)?;
+        let fault_plan = FaultPlan::from_json(r.str("fault plan json")?)
+            .map_err(|e| SnapshotError::Malformed(format!("embedded fault plan: {e}")))?;
+        fault_plan
+            .validate()
+            .map_err(|e| SnapshotError::Malformed(format!("embedded fault plan: {e}")))?;
+        let scenario_plan = ScenarioPlan::from_json(r.str("scenario plan json")?)
+            .map_err(|e| SnapshotError::Malformed(format!("embedded scenario plan: {e}")))?;
+        scenario_plan
+            .validate()
+            .map_err(|e| SnapshotError::Malformed(format!("embedded scenario plan: {e}")))?;
+        let now = r.f64("now")?;
+        let mut rng_state = [0u64; 4];
+        for s in &mut rng_state {
+            *s = r.u64("rng state")?;
+        }
+        let queue = IndexedEventQueue::unsnap(&mut r, Event::unsnap)?;
+        let net = SimNetwork::unsnap(&mut r)?;
+        let metrics = checkpoint::unsnap_raw_metrics(&mut r)?;
+        let obs = checkpoint::unsnap_sim_metrics(&mut r)?;
+        let mut faults = FaultState::new(fault_plan, opts.fault_seed);
+        faults.unsnap_state(&mut r)?;
+        let repair_pending = checkpoint::unsnap_repair_pending(&mut r)?;
+        let mut scenario = ScenarioState::new(&scenario_plan, opts.scenario_seed);
+        scenario.unsnap_state(&mut r)?;
+        let overload = OverloadState::unsnap_state(opts.overload, &mut r)?;
+        let mut handle_vecs: [Vec<EventHandle>; 5] = Default::default();
+        for handles in &mut handle_vecs {
+            let n = r.len("handle vec len")?;
+            handles.reserve_exact(n);
+            for _ in 0..n {
+                handles.push(EventHandle::unsnap(&mut r)?);
+            }
+        }
+        let [leave_h, query_h, update_h, rejoin_h, adapt_h] = handle_vecs;
+        let in_fault_crash = r.bool("in_fault_crash")?;
+        r.finish()?;
+        let model = QueryModel::from_config(&config.query_model);
+        Ok(Simulation {
+            net,
+            queue,
+            rng: SpRng::from_state(rng_state),
+            now,
+            config,
+            model,
+            opts,
+            metrics,
+            obs,
+            faults,
+            faults_final: FaultMetrics::default(),
+            repair_final: RepairMetrics::default(),
+            overload_final: OverloadMetrics::default(),
+            repair_pending,
+            monitor: PartitionMonitor::new(),
+            in_fault_crash,
+            scenario,
+            overload,
+            scenario_plan,
+            leave_h,
+            query_h,
+            update_h,
+            rejoin_h,
+            adapt_h,
+            scratch_partners: Vec::new(),
+            scratch_clients: Vec::new(),
+            scratch_members: Vec::new(),
+            stamp_cur: 0,
+            bfs_parent: Vec::new(),
+            bfs_depth: Vec::new(),
+            bfs_order: Vec::new(),
+            bfs_candidates: Vec::new(),
+            flood: Vec::new(),
+            verify_rr: Vec::new(),
+        })
+    }
+}
+
+impl<Q: EventQueue> Simulation<Q> {
+    /// [`Simulation::with_faults`] on any event queue, e.g.
+    /// `Simulation::<BinaryEventQueue>::build` for the oracle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration or the fault plan is invalid.
+    pub fn build(config: &Config, opts: SimOptions, plan: &FaultPlan) -> Self {
+        Self::assemble(config, opts, plan, &ScenarioPlan::default())
+    }
+
+    /// [`Simulation::with_scenario`] on any event queue.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration or the scenario plan is invalid.
+    pub fn build_scenario(config: &Config, opts: SimOptions, plan: &ScenarioPlan) -> Self {
         let mut opts = opts;
         opts.repair = plan.repair;
         if !plan.overload.is_empty() {
             opts.overload = plan.overload;
         }
-        Self::build(config, opts, &plan.faults, plan)
+        Self::assemble(config, opts, &plan.faults, plan)
     }
 
-    fn build(config: &Config, opts: SimOptions, plan: &FaultPlan, scenario: &ScenarioPlan) -> Self {
+    fn assemble(
+        config: &Config,
+        opts: SimOptions,
+        plan: &FaultPlan,
+        scenario: &ScenarioPlan,
+    ) -> Self {
         plan.validate().expect("invalid fault plan");
         let mut rng = SpRng::seed_from_u64(opts.seed);
         let inst = NetworkInstance::generate(config, &mut rng).expect("invalid configuration");
         let model = QueryModel::from_config(&config.query_model);
         let mut sim = Simulation {
             net: SimNetwork::new(),
-            queue: IndexedEventQueue::new(),
+            queue: Q::default(),
             rng,
             now: 0.0,
             config: config.clone(),
@@ -443,6 +624,7 @@ impl Simulation {
             bfs_order: Vec::new(),
             bfs_candidates: Vec::new(),
             flood: Vec::new(),
+            verify_rr: Vec::new(),
         };
         sim.bootstrap(&inst);
         sim
@@ -650,14 +832,13 @@ impl Simulation {
                 self.adapt_h[c as usize] = h;
             }
         }
-        // Compile the fault plan into first-class queue events (both
-        // engines schedule them at this exact bootstrap point, so the
-        // FIFO tie-break sequence numbers line up).
+        // Compile the fault plan into first-class queue events at this
+        // exact bootstrap point (part of the FIFO tie-break sequence
+        // every checkpoint and replay depends on).
         for (index, time, start) in self.faults.schedule() {
             self.queue.schedule(time, Event::Fault { index, start });
         }
-        // Scenario phases immediately after the fault schedule, so the
-        // two engines' FIFO sequence numbers line up here too.
+        // Scenario phases immediately after the fault schedule.
         for (index, time, start) in self.scenario.schedule() {
             self.queue.schedule(time, Event::Phase { index, start });
         }
@@ -729,150 +910,13 @@ impl Simulation {
         self.overload.active()
     }
 
-    /// Serializes the full mutable state of the run into a versioned,
-    /// integrity-checked snapshot (see [`sp_model::snapshot`] and
-    /// DESIGN.md §17).
-    ///
-    /// Everything a resumed run observes is captured bitwise: both RNG
-    /// streams' positions, the event queue verbatim (slab, free list,
-    /// heap layout — the free-list order decides future handle
-    /// assignment), the network slabs with their generation counters,
-    /// accumulated metrics, fault/scenario window state, and the
-    /// per-slot timer handles. Pure scratch (flood stamps, BFS buffers,
-    /// the partition monitor's epoch-rebuilt union-find) is *not*
-    /// serialized — it is empty between events by construction.
-    pub fn snapshot(&self) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        checkpoint::snap_config(&self.config, &mut w);
-        checkpoint::snap_opts(&self.opts, &mut w);
-        w.str(&self.faults.plan().to_json());
-        w.str(&self.scenario_plan.to_json());
-        w.f64(self.now);
-        for s in self.rng.state() {
-            w.u64(s);
-        }
-        self.queue.snap(&mut w, |e, w| e.snap(w));
-        self.net.snap(&mut w);
-        checkpoint::snap_raw_metrics(&self.metrics, &mut w);
-        checkpoint::snap_sim_metrics(&self.obs, &mut w);
-        self.faults.snap_state(&mut w);
-        checkpoint::snap_repair_pending(&self.repair_pending, &mut w);
-        self.scenario.snap_state(&mut w);
-        self.overload.snap_state(&mut w);
-        for handles in [
-            &self.leave_h,
-            &self.query_h,
-            &self.update_h,
-            &self.rejoin_h,
-            &self.adapt_h,
-        ] {
-            w.len(handles.len());
-            for h in handles {
-                h.snap(&mut w);
-            }
-        }
-        w.bool(self.in_fault_crash);
-        w.seal(ENGINE_FAST)
-    }
-
-    /// Rebuilds a simulation from a snapshot produced by
-    /// [`Simulation::snapshot`]. Resuming the result with
-    /// [`run`](Self::run) (or further [`run_to`](Self::run_to) steps)
-    /// yields metrics bitwise identical to the uninterrupted run.
-    ///
-    /// The embedded config and plans are re-validated, so a crafted or
-    /// corrupted payload fails with a named [`SnapshotError`] instead
-    /// of panicking; derived state (query model, fault windows,
-    /// scenario tables) is rebuilt from them rather than trusted from
-    /// the wire.
-    pub fn restore(data: &[u8]) -> Result<Simulation, SnapshotError> {
-        let mut r = SnapReader::open(data)?;
-        r.expect_engine(ENGINE_FAST)?;
-        let config = checkpoint::unsnap_config(&mut r)?;
-        config
-            .validate()
-            .map_err(|e| SnapshotError::Malformed(format!("embedded config: {e}")))?;
-        let opts = checkpoint::unsnap_opts(&mut r)?;
-        let fault_plan = FaultPlan::from_json(r.str("fault plan json")?)
-            .map_err(|e| SnapshotError::Malformed(format!("embedded fault plan: {e}")))?;
-        fault_plan
-            .validate()
-            .map_err(|e| SnapshotError::Malformed(format!("embedded fault plan: {e}")))?;
-        let scenario_plan = ScenarioPlan::from_json(r.str("scenario plan json")?)
-            .map_err(|e| SnapshotError::Malformed(format!("embedded scenario plan: {e}")))?;
-        scenario_plan
-            .validate()
-            .map_err(|e| SnapshotError::Malformed(format!("embedded scenario plan: {e}")))?;
-        let now = r.f64("now")?;
-        let mut rng_state = [0u64; 4];
-        for s in &mut rng_state {
-            *s = r.u64("rng state")?;
-        }
-        let queue = IndexedEventQueue::unsnap(&mut r, Event::unsnap)?;
-        let net = SimNetwork::unsnap(&mut r)?;
-        let metrics = checkpoint::unsnap_raw_metrics(&mut r)?;
-        let obs = checkpoint::unsnap_sim_metrics(&mut r)?;
-        let mut faults = FaultState::new(fault_plan, opts.fault_seed);
-        faults.unsnap_state(&mut r)?;
-        let repair_pending = checkpoint::unsnap_repair_pending(&mut r)?;
-        let mut scenario = ScenarioState::new(&scenario_plan, opts.scenario_seed);
-        scenario.unsnap_state(&mut r)?;
-        let overload = OverloadState::unsnap_state(opts.overload, &mut r)?;
-        let mut handle_vecs: [Vec<EventHandle>; 5] = Default::default();
-        for handles in &mut handle_vecs {
-            let n = r.len("handle vec len")?;
-            handles.reserve_exact(n);
-            for _ in 0..n {
-                handles.push(EventHandle::unsnap(&mut r)?);
-            }
-        }
-        let [leave_h, query_h, update_h, rejoin_h, adapt_h] = handle_vecs;
-        let in_fault_crash = r.bool("in_fault_crash")?;
-        r.finish()?;
-        let model = QueryModel::from_config(&config.query_model);
-        Ok(Simulation {
-            net,
-            queue,
-            rng: SpRng::from_state(rng_state),
-            now,
-            config,
-            model,
-            opts,
-            metrics,
-            obs,
-            faults,
-            faults_final: FaultMetrics::default(),
-            repair_final: RepairMetrics::default(),
-            overload_final: OverloadMetrics::default(),
-            repair_pending,
-            monitor: PartitionMonitor::new(),
-            in_fault_crash,
-            scenario,
-            overload,
-            scenario_plan,
-            leave_h,
-            query_h,
-            update_h,
-            rejoin_h,
-            adapt_h,
-            scratch_partners: Vec::new(),
-            scratch_clients: Vec::new(),
-            scratch_members: Vec::new(),
-            stamp_cur: 0,
-            bfs_parent: Vec::new(),
-            bfs_depth: Vec::new(),
-            bfs_order: Vec::new(),
-            bfs_candidates: Vec::new(),
-            flood: Vec::new(),
-        })
-    }
-
     fn dispatch(&mut self, event: Event) {
         // Generation guard: an event for a recycled or dead slot is a
         // tombstone and must not run (nor count as delivered). The
         // indexed queue cancels most of these before they fire; the
-        // ones that remain (e.g. recruit timers of a failed cluster)
-        // are dropped here, exactly like the reference engine does.
+        // ones that remain (e.g. recruit timers of a failed cluster),
+        // and every one under the oracle's non-cancelling queue, are
+        // dropped here.
         match event {
             Event::PeerLeave { peer, generation }
             | Event::Query { peer, generation }
@@ -941,13 +985,18 @@ impl Simulation {
 
     /// Open connections per partner of `cluster` — O(1) via the
     /// network's incrementally maintained neighbor-link cache. Exactly
-    /// equal to the reference engine's O(degree) recomputation: the
-    /// cache is an integer, so the f64 conversion is identical.
+    /// equal to the O(degree) recomputation the oracle asserts it
+    /// against: the cache is an integer, so the f64 conversion is
+    /// identical.
     fn partner_connections(&self, cluster: ClusterId) -> f64 {
-        self.net.clusters[cluster as usize]
+        let cached = self.net.clusters[cluster as usize]
             .as_ref()
             .expect("cluster alive")
-            .partner_connections_cached()
+            .partner_connections_cached();
+        if Q::VERIFY {
+            verify_connections(&self.net, cluster, cached);
+        }
+        cached
     }
 
     fn client_connections(&self, cluster: ClusterId) -> f64 {
@@ -1116,8 +1165,8 @@ impl Simulation {
             .files as f64;
         let cm = self.config.costs;
         let mut partners = std::mem::take(&mut self.scratch_partners);
-        partners.clear();
-        partners.extend_from_slice(
+        refill::<Q>(
+            &mut partners,
             &self.net.clusters[c as usize]
                 .as_ref()
                 .expect("cluster alive")
@@ -1226,8 +1275,8 @@ impl Simulation {
     fn fail_cluster(&mut self, c: ClusterId) {
         self.metrics.cluster_failures += 1;
         let mut clients = std::mem::take(&mut self.scratch_clients);
-        clients.clear();
-        clients.extend_from_slice(
+        refill::<Q>(
+            &mut clients,
             &self.net.clusters[c as usize]
                 .as_ref()
                 .expect("cluster alive")
@@ -1355,7 +1404,7 @@ impl Simulation {
         }
         // Election: highest capacity (most files shared), ties broken
         // by lowest peer id — a pure fold over the client list, no RNG
-        // draw, the same winner in both engines.
+        // draw.
         let winner = {
             let c = self.net.clusters[cluster as usize].as_ref().expect("alive");
             let mut best = c.clients[0];
@@ -1394,8 +1443,8 @@ impl Simulation {
         // Table 2 join cost, like `attach_and_charge_join` with the
         // promoted peer as the sole partner.
         let mut clients = std::mem::take(&mut self.scratch_clients);
-        clients.clear();
-        clients.extend_from_slice(
+        refill::<Q>(
+            &mut clients,
             &self.net.clusters[cluster as usize]
                 .as_ref()
                 .expect("alive")
@@ -1708,8 +1757,7 @@ impl Simulation {
         // against a persistently saturated super-peer detaches and
         // joins the shallowest-queue live cluster before submitting,
         // paying the Table 2 join cost. Target choice is a pure fold
-        // (min queue depth, ties to lowest cluster id) — no RNG draw,
-        // the same winner in both engines.
+        // (min queue depth, ties to lowest cluster id) — no RNG draw.
         if !is_partner && self.overload.active() && self.overload.should_rehome(peer) {
             if let Some(target) = self.rehome_target(sc) {
                 let files = self.net.peers[peer as usize]
@@ -1847,9 +1895,9 @@ impl Simulation {
 
         // Flood over the cluster overlay, charging every transmission
         // inline as it is discovered (see `flood_and_charge` for why
-        // that is exactly equivalent to the reference engine's
-        // record-then-replay). A brownout fanout cap rides the
-        // forwarding policy for just this flood.
+        // that is exactly equivalent to record-then-replay). A
+        // brownout fanout cap rides the forwarding policy for just
+        // this flood.
         let saved_policy = self.opts.forward_policy;
         if let Some(f) = fanout_limit {
             let cap = match saved_policy {
@@ -1883,6 +1931,7 @@ impl Simulation {
                 bfs_parent,
                 bfs_depth,
                 flood,
+                verify_rr,
                 ..
             } = self;
             // Window accumulators are only observed by adapt ticks;
@@ -1913,12 +1962,7 @@ impl Simulation {
                     let x = lambda + lambda.sqrt() * Normal::standard(rng);
                     x.round().max(0.0) as u64
                 };
-                let prober = if fs.len == 1 {
-                    fs.bump += 1;
-                    fs.partner
-                } else {
-                    rr_partner_net(net, v)
-                };
+                let prober = flood_pick::<Q>(net, fs, verify_rr, v, recv_q, mux);
                 let probe_units = if results == 0 {
                     probe_units_zero
                 } else {
@@ -1952,20 +1996,10 @@ impl Simulation {
                     let parent = bfs_parent[hop as usize];
                     let fh = &mut flood[hop as usize];
                     let s_conns = fh.conns;
-                    let sender = if fh.len == 1 {
-                        fh.bump += 1;
-                        fh.partner
-                    } else {
-                        rr_partner_net(net, hop)
-                    };
+                    let sender = flood_pick::<Q>(net, fh, verify_rr, hop, recv_q, mux);
                     let fp = &mut flood[parent as usize];
                     let r_conns = fp.conns;
-                    let receiver = if fp.len == 1 {
-                        fp.bump += 1;
-                        fp.partner
-                    } else {
-                        rr_partner_net(net, parent)
-                    };
+                    let receiver = flood_pick::<Q>(net, fp, verify_rr, parent, recv_q, mux);
                     charge_pair_net(
                         net, sender, receiver, rbytes, r_send, r_recv, s_conns, r_conns, mux,
                     );
@@ -1978,12 +2012,7 @@ impl Simulation {
                     let fsc = &mut flood[sc as usize];
                     let p_conns = fsc.conns;
                     let c_conns = f64::from(fsc.len);
-                    let partner = if fsc.len == 1 {
-                        fsc.bump += 1;
-                        fsc.partner
-                    } else {
-                        rr_partner_net(net, sc)
-                    };
+                    let partner = flood_pick::<Q>(net, fsc, verify_rr, sc, recv_q, mux);
                     charge_pair_net(
                         net, partner, peer, rbytes, r_send, r_recv, p_conns, c_conns, mux,
                     );
@@ -2003,6 +2032,16 @@ impl Simulation {
                     flood[vu].bump = 0;
                     let c = net.clusters[vu].as_mut().expect("cluster alive");
                     c.rr = c.rr.wrapping_add(bump as usize);
+                }
+            }
+            if Q::VERIFY {
+                for &v in &order {
+                    let rr = net.clusters[v as usize].as_ref().expect("cluster alive").rr;
+                    assert_eq!(
+                        rr, verify_rr[v as usize],
+                        "verify: deferred round-robin flush of cluster {v} disagrees with \
+                         immediate advances"
+                    );
                 }
             }
         }
@@ -2028,8 +2067,8 @@ impl Simulation {
         let Some(c) = cluster else { return };
         let cm = self.config.costs;
         let mut partners = std::mem::take(&mut self.scratch_partners);
-        partners.clear();
-        partners.extend_from_slice(
+        refill::<Q>(
+            &mut partners,
             &self.net.clusters[c as usize]
                 .as_ref()
                 .expect("alive")
@@ -2095,10 +2134,9 @@ impl Simulation {
         // length — ticks are staggered, so the first window is longer
         // than the nominal interval.
         let mut partners = std::mem::take(&mut self.scratch_members);
-        partners.clear();
         let window_secs = {
             let c = self.net.clusters[cluster as usize].as_ref().expect("alive");
-            partners.extend_from_slice(&c.partners);
+            refill::<Q>(&mut partners, &c.partners);
             (self.now - c.last_adapt_at).max(1e-9)
         };
         let mut load = Load::ZERO;
@@ -2177,7 +2215,6 @@ impl Simulation {
     /// client.
     fn split_cluster(&mut self, cluster: ClusterId) {
         let mut movers = std::mem::take(&mut self.scratch_clients);
-        movers.clear();
         {
             let Some(c) = self.net.cluster_mut(cluster) else {
                 self.scratch_clients = movers;
@@ -2188,7 +2225,7 @@ impl Simulation {
                 return;
             }
             let half = c.clients.len() / 2;
-            movers.extend_from_slice(&c.clients[..half]);
+            refill::<Q>(&mut movers, &c.clients[..half]);
         }
         // The first mover leads the new cluster.
         let lead = movers[0];
@@ -2281,12 +2318,10 @@ impl Simulation {
         };
         let mut clients = std::mem::take(&mut self.scratch_clients);
         let mut partners = std::mem::take(&mut self.scratch_members);
-        clients.clear();
-        partners.clear();
         {
             let c = self.net.clusters[cluster as usize].as_ref().expect("alive");
-            clients.extend_from_slice(&c.clients);
-            partners.extend_from_slice(&c.partners);
+            refill::<Q>(&mut clients, &c.clients);
+            refill::<Q>(&mut partners, &c.partners);
         }
         for &cl in &clients {
             self.credit_client_time(cl);
@@ -2397,10 +2432,9 @@ impl Simulation {
         match self.scenario.on_phase_event(index, start) {
             PhaseAction::None => {}
             PhaseAction::MassLeave { fraction } => {
-                // Snapshot alive peers in slot order (identical in
-                // both engines), then generation-guard each victim:
-                // an earlier victim's departure cascade must not
-                // shift later picks.
+                // Snapshot alive peers in slot order, then
+                // generation-guard each victim: an earlier victim's
+                // departure cascade must not shift later picks.
                 let alive: Vec<(PeerId, u32)> = (0..self.net.peers.len())
                     .filter(|&slot| self.net.peers[slot].is_some())
                     .map(|slot| (slot as PeerId, self.net.peer_generation(slot as PeerId)))
@@ -2474,20 +2508,18 @@ impl Simulation {
     /// dropped duplicates alike — both consume bandwidth and
     /// processing), honoring the configured forwarding policy. Fills
     /// `bfs_order`, `bfs_depth`, `bfs_parent`, and snapshots each
-    /// visited cluster's partner connection count into `flood_conns` at
-    /// discovery time.
+    /// visited cluster into its [`FloodSlot`] at discovery time.
     ///
-    /// Merging traversal and charging is *exact*, not approximate: the
-    /// reference engine records the transmission list during its flood
-    /// and replays it afterwards, so the transmission sequence is the
-    /// discovery sequence either way. Charging mutates only load
-    /// counters and round-robin cursors — which the traversal never
-    /// reads — and draws no randomness, so the RandomSubset RNG draws,
-    /// the round-robin cursor walks, and every per-peer float
-    /// accumulation happen in the reference engine's order. Connection
-    /// counts are constant for the whole event (nothing joins, leaves,
-    /// or rewires mid-query), so the discovery-time snapshot equals the
-    /// reference engine's post-flood recomputation.
+    /// Merging traversal and charging is *exact*, not approximate:
+    /// recording the transmission list during the flood and replaying
+    /// it afterwards would charge in discovery order too. Charging
+    /// mutates only load counters and round-robin cursors — which the
+    /// traversal never reads — and draws no randomness, so the
+    /// RandomSubset RNG draws, the round-robin cursor walks, and every
+    /// per-peer float accumulation happen in record-then-replay order.
+    /// Connection counts are constant for the whole event (nothing
+    /// joins, leaves, or rewires mid-query), so the discovery-time
+    /// snapshot equals a post-flood recomputation.
     fn flood_and_charge(
         &mut self,
         src: ClusterId,
@@ -2501,6 +2533,9 @@ impl Simulation {
             self.flood.resize(n, FloodSlot::default());
             self.bfs_parent.resize(n, 0);
             self.bfs_depth.resize(n, 0);
+            if Q::VERIFY {
+                self.verify_rr.resize(n, 0);
+            }
         }
         // Split `self` into disjoint field borrows so the hot loop
         // works on locals: with `&mut self` method calls inside the
@@ -2519,6 +2554,7 @@ impl Simulation {
             bfs_order,
             bfs_candidates: candidates,
             flood,
+            verify_rr,
             ..
         } = self;
         // Hoisted fault-window flags: a fault-free flood takes none of
@@ -2543,7 +2579,7 @@ impl Simulation {
         bfs_parent[src as usize] = src;
         let fsrc = &mut flood[src as usize];
         fsrc.stamp = cur;
-        flood_snapshot_into(net, fsrc, recv_q, mux, src);
+        flood_snapshot_into::<Q>(net, fsrc, verify_rr, recv_q, mux, src);
         bfs_order.push(src);
         let mut head = 0;
         while head < bfs_order.len() {
@@ -2553,6 +2589,10 @@ impl Simulation {
             let d = bfs_depth[vu];
             if d >= ttl {
                 continue;
+            }
+            if Q::VERIFY {
+                // Before v's neighbor list moves out for the turn.
+                verify_slot(net, &flood[vu], v, recv_q, mux);
             }
             let Some(cv) = net.clusters[vu].as_mut() else {
                 continue;
@@ -2591,11 +2631,11 @@ impl Simulation {
             let targets: &[ClusterId] = if fanout_sel { candidates } else { &neighbors };
             // Charge receivers first, then all of v's sends. This
             // reorders only operations on *distinct* clusters/peers
-            // relative to the reference's per-candidate interleaving:
-            // each cluster's rr-cursor calls and each peer's counter
-            // adds keep their original relative order (the overlay has
-            // no self-loops, so u != v and the receiving partner is
-            // never the sending partner), and no RNG is involved — so
+            // relative to a per-candidate interleaving: each cluster's
+            // rr-cursor calls and each peer's counter adds keep their
+            // original relative order (the overlay has no self-loops,
+            // so u != v and the receiving partner is never the sending
+            // partner), and no RNG is involved — so
             // the result is bitwise identical while letting the sender
             // side hoist its cluster and peer lookups out of the loop.
             let v_conns = flood[vu].conns;
@@ -2642,15 +2682,10 @@ impl Simulation {
                     fs.stamp = cur;
                     bfs_depth[uu] = d + 1;
                     bfs_parent[uu] = v;
-                    flood_snapshot_into(net, fs, recv_q, mux, u);
+                    flood_snapshot_into::<Q>(net, fs, verify_rr, recv_q, mux, u);
                     bfs_order.push(u);
                 }
-                let receiver = if fs.len == 1 {
-                    fs.bump += 1;
-                    fs.partner
-                } else {
-                    rr_partner_net(net, u)
-                };
+                let receiver = flood_pick::<Q>(net, fs, verify_rr, u, recv_q, mux);
                 // Receivers are partners of alive clusters, so the
                 // slot is live: charge the dense counter directly.
                 // (`recv_q + mux * conns` was computed once at
@@ -2670,6 +2705,11 @@ impl Simulation {
                 // so resolve it once and advance rr in bulk.
                 let sender = fv.partner;
                 fv.bump += n_sent as u32;
+                if Q::VERIFY {
+                    for _ in 0..n_sent {
+                        verify_pick(net, verify_rr, v, sender);
+                    }
+                }
                 let sc = &mut net.counters[sender as usize];
                 if windows {
                     for _ in 0..n_sent {
@@ -2683,6 +2723,9 @@ impl Simulation {
             } else {
                 for _ in 0..n_sent {
                     let sender = rr_partner_net(net, v);
+                    if Q::VERIFY {
+                        verify_pick(net, verify_rr, v, sender);
+                    }
                     let sc = &mut net.counters[sender as usize];
                     if windows {
                         sc.send(qbytes, send_units);
@@ -2693,10 +2736,10 @@ impl Simulation {
             }
             net.clusters[vu].as_mut().expect("cluster alive").neighbors = neighbors;
         }
-        // Deferred rr advances stay pending in `rr_bump` until the
-        // caller's flush at the end of the query event (the probe loop
-        // adds its own bumps first); nothing reads a k = 1 cluster's
-        // rr cursor in between.
+        // Deferred rr advances stay pending in `FloodSlot::bump` until
+        // the caller's flush at the end of the query event (the probe
+        // loop adds its own bumps first); nothing reads a k = 1
+        // cluster's rr cursor in between.
     }
 }
 
@@ -2715,11 +2758,13 @@ fn rr_partner_net(net: &mut SimNetwork, cluster: ClusterId) -> PeerId {
 
 /// Records a cluster's partner-connection count, first partner, and
 /// partner count into the per-flood snapshot arrays (one cluster
-/// dereference at discovery instead of one per transmission).
+/// dereference at discovery instead of one per transmission). The
+/// oracle also starts the cluster's shadow round-robin cursor here.
 #[inline]
-fn flood_snapshot_into(
+fn flood_snapshot_into<Q: EventQueue>(
     net: &SimNetwork,
     slot: &mut FloodSlot,
+    verify_rr: &mut [usize],
     recv_q: f64,
     mux: f64,
     u: ClusterId,
@@ -2731,6 +2776,119 @@ fn flood_snapshot_into(
     slot.partner = c.partners[0];
     slot.files = c.total_files;
     slot.recv_units = recv_q + mux * cc;
+    if Q::VERIFY {
+        verify_rr[u as usize] = c.rr;
+    }
+}
+
+/// Round-robin partner pick for a cluster visited by the current
+/// flood. A k = 1 cluster answers from its snapshot and defers the
+/// cursor advance to the end-of-query flush; the oracle checks the
+/// snapshot and the pick at every use.
+#[inline(always)]
+fn flood_pick<Q: EventQueue>(
+    net: &mut SimNetwork,
+    slot: &mut FloodSlot,
+    verify_rr: &mut [usize],
+    u: ClusterId,
+    recv_q: f64,
+    mux: f64,
+) -> PeerId {
+    let picked = if slot.len == 1 {
+        slot.bump += 1;
+        slot.partner
+    } else {
+        rr_partner_net(net, u)
+    };
+    if Q::VERIFY {
+        verify_slot(net, slot, u, recv_q, mux);
+        verify_pick(net, verify_rr, u, picked);
+    }
+    picked
+}
+
+/// Oracle check of one pick against an immediate round-robin advance
+/// of the shadow cursor (what `rr_partner` returns without deferral).
+fn verify_pick(net: &SimNetwork, verify_rr: &mut [usize], cluster: ClusterId, picked: PeerId) {
+    let c = net.clusters[cluster as usize]
+        .as_ref()
+        .expect("cluster alive");
+    let idx = verify_rr[cluster as usize] % c.partners.len();
+    verify_rr[cluster as usize] = verify_rr[cluster as usize].wrapping_add(1);
+    assert_eq!(
+        picked, c.partners[idx],
+        "verify: round-robin pick of cluster {cluster} disagrees with an immediate advance"
+    );
+}
+
+/// Oracle check of a flood snapshot against the live cluster.
+fn verify_slot(net: &SimNetwork, slot: &FloodSlot, cluster: ClusterId, recv_q: f64, mux: f64) {
+    let c = net.clusters[cluster as usize]
+        .as_ref()
+        .expect("cluster alive");
+    let conns = c.partner_connections_cached();
+    verify_connections(net, cluster, conns);
+    assert_eq!(
+        (
+            slot.len,
+            slot.partner,
+            slot.files,
+            slot.conns,
+            slot.recv_units
+        ),
+        (
+            c.partners.len() as u32,
+            c.partners[0],
+            c.total_files,
+            conns,
+            recv_q + mux * conns
+        ),
+        "verify: flood snapshot of cluster {cluster} is stale"
+    );
+}
+
+/// Oracle check of the cached connection count of `cluster`.
+fn verify_connections(net: &SimNetwork, cluster: ClusterId, cached: f64) {
+    assert_eq!(
+        cached,
+        partner_connections_slow(net, cluster),
+        "verify: neighbor_partner_links cache of cluster {cluster} is out of sync"
+    );
+}
+
+/// Open connections per partner of `cluster`, recomputed in O(degree)
+/// from the neighbors' partner lists — the form the cached
+/// `neighbor_partner_links` replaces.
+fn partner_connections_slow(net: &SimNetwork, cluster: ClusterId) -> f64 {
+    let c = net.clusters[cluster as usize]
+        .as_ref()
+        .expect("cluster alive");
+    let neighbor_links: usize = c
+        .neighbors
+        .iter()
+        .map(|&nb| {
+            net.clusters[nb as usize]
+                .as_ref()
+                .map(|n| n.partners.len())
+                .unwrap_or(0)
+        })
+        .sum();
+    c.partner_connections(neighbor_links)
+}
+
+/// Refills a pooled member-list scratch buffer with `members`; the
+/// oracle compares it against a fresh clone.
+#[inline]
+fn refill<Q: EventQueue>(scratch: &mut Vec<PeerId>, members: &[PeerId]) {
+    scratch.clear();
+    scratch.extend_from_slice(members);
+    if Q::VERIFY {
+        assert_eq!(
+            *scratch,
+            members.to_vec(),
+            "verify: pooled member list differs from a fresh clone"
+        );
+    }
 }
 
 /// Free-function core of [`Simulation::charge_pair`], callable while
@@ -2757,6 +2915,7 @@ fn charge_pair_net(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::events::BinaryEventQueue;
 
     fn small_config() -> Config {
         Config {
@@ -2867,6 +3026,79 @@ mod tests {
         // Truncation is named, not a panic.
         let good = sim.snapshot();
         assert!(Simulation::restore(&good[..good.len() - 3]).is_err());
+    }
+
+    #[test]
+    fn engine_tags_do_not_cross_restore() {
+        // Checkpoints of the retired reference engine carried tag 2;
+        // the tag stays reserved and such a file fails by name.
+        let data = SnapWriter::new().seal(sp_model::snapshot::ENGINE_REFERENCE);
+        assert!(matches!(
+            Simulation::restore(&data),
+            Err(SnapshotError::WrongEngine { .. })
+        ));
+    }
+
+    #[test]
+    fn oracle_engine_runs_and_counts_events() {
+        let mut sim = Simulation::<BinaryEventQueue>::build(
+            &small_config(),
+            SimOptions {
+                duration_secs: 600.0,
+                seed: 1,
+                ..Default::default()
+            },
+            &FaultPlan::default(),
+        );
+        let m = sim.run();
+        assert!(m.queries > 0);
+        assert!(sim.events_delivered() > m.queries);
+        // The oracle queue cannot cancel: departed peers' timers reach
+        // the generation guard as tombstones instead.
+        let obs = sim.observability();
+        assert_eq!(obs.cancelled, 0);
+        assert!(obs.stale > 0);
+        sim.net.check_invariants().unwrap();
+    }
+
+    /// Runs the small workload to t = 100 s, then inflates one live
+    /// cluster's cached neighbor-link count by one.
+    fn corrupt_link_cache<Q: EventQueue>(sim: &mut Simulation<Q>) {
+        sim.run_to(100.0);
+        let c = sim.net.alive_clusters().next().expect("a live cluster");
+        sim.net.clusters[c as usize]
+            .as_mut()
+            .expect("alive")
+            .neighbor_partner_links += 1;
+    }
+
+    #[test]
+    #[should_panic(expected = "verify: neighbor_partner_links cache of cluster")]
+    fn oracle_catches_a_corrupted_link_cache_at_the_next_charge() {
+        let opts = SimOptions {
+            duration_secs: 600.0,
+            seed: 3,
+            ..Default::default()
+        };
+        let mut sim =
+            Simulation::<BinaryEventQueue>::build(&small_config(), opts, &FaultPlan::default());
+        corrupt_link_cache(&mut sim);
+        sim.run();
+    }
+
+    #[test]
+    fn production_engine_does_not_run_the_verify_layer() {
+        let opts = SimOptions {
+            duration_secs: 600.0,
+            seed: 3,
+            ..Default::default()
+        };
+        let mut sim = Simulation::new(&small_config(), opts);
+        corrupt_link_cache(&mut sim);
+        // The run completes: the corruption skews loads silently, and
+        // only the oracle instantiation checks the cache.
+        let clean = Simulation::new(&small_config(), opts).run();
+        assert_ne!(sim.run(), clean);
     }
 
     #[test]

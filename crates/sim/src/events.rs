@@ -1,14 +1,9 @@
 //! Event queues: time-ordered heaps with stable FIFO tie-breaking.
 //!
 //! Two implementations share one ordering contract (earliest time
-//! first, ties broken by schedule order):
+//! first, ties broken by schedule order) behind the [`EventQueue`]
+//! trait the churn engine is generic over:
 //!
-//! * [`BinaryEventQueue`] — the original `std::collections::BinaryHeap`
-//!   wrapper. It cannot cancel: events for peers that have since left
-//!   stay in the heap as *tombstones* until their time comes up, and
-//!   are dropped at dispatch by a generation check. Kept as the
-//!   baseline for the [`reference`](crate::reference) engine and the
-//!   queue-equivalence tests.
 //! * [`IndexedEventQueue`] — an indexed binary heap over a slab of
 //!   event entries. [`schedule`](IndexedEventQueue::schedule) returns
 //!   an [`EventHandle`] that can later
@@ -16,11 +11,19 @@
 //!   churn removes a departed peer's pending events instead of leaving
 //!   tombstones. Handles are generation-guarded: cancelling an event
 //!   that already fired (or whose slab slot was reused) is a safe
-//!   no-op, never a double-delivery or a misfire.
+//!   no-op, never a double-delivery or a misfire. The production
+//!   queue.
+//! * [`BinaryEventQueue`] — a plain `std::collections::BinaryHeap`
+//!   wrapper that cannot cancel: events for peers that have since left
+//!   stay in the heap as *tombstones* until their time comes up, and
+//!   are dropped at dispatch by the engine's generation check. The
+//!   oracle queue: `Simulation<BinaryEventQueue>` runs the same engine
+//!   with every cache re-derived and asserted at each use
+//!   ([`EventQueue::VERIFY`]).
 //!
 //! Both queues pop in exactly the same order for the same schedule
 //! sequence (enforced by `tests/queue_equivalence.rs`), which is what
-//! lets the fast engine reproduce the reference engine bit for bit.
+//! lets the two instantiations of the engine agree bit for bit.
 //!
 //! Events reference peers and clusters by slot id plus a *generation*
 //! counter; slots are reused after churn, so a handler first checks the
@@ -278,12 +281,43 @@ impl Ord for Scheduled {
     }
 }
 
+/// The queue interface the churn engine
+/// ([`Simulation`](crate::engine::Simulation)) is generic over.
+pub trait EventQueue: Default {
+    /// Whether the engine re-derives every cache the slow way and
+    /// asserts it against the cached value at each use. A `const`, so
+    /// the production instantiation compiles the checks away.
+    const VERIFY: bool;
+
+    /// Schedules `event` at absolute time `time`; the returned handle
+    /// can cancel it until it fires ([`EventHandle::NULL`] from a
+    /// queue that cannot cancel).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `time` is NaN.
+    fn schedule(&mut self, time: SimTime, event: Event) -> EventHandle;
+
+    /// Cancels a pending event; returns whether anything was removed.
+    fn cancel(&mut self, handle: EventHandle) -> bool;
+
+    /// Pops the earliest event, if any.
+    fn pop(&mut self) -> Option<(SimTime, Event)>;
+
+    /// The timestamp of the earliest pending event, if any.
+    fn peek_time(&self) -> Option<SimTime>;
+
+    /// Largest number of simultaneously queued entries ever observed.
+    fn high_water(&self) -> usize;
+}
+
 /// Time-ordered event queue without cancellation (the original
 /// implementation; see the module docs for the trade-off).
 #[derive(Debug, Default)]
 pub struct BinaryEventQueue {
     heap: BinaryHeap<Scheduled>,
     seq: u64,
+    high_water: usize,
 }
 
 impl BinaryEventQueue {
@@ -292,29 +326,7 @@ impl BinaryEventQueue {
         Self::default()
     }
 
-    /// Schedules `event` at absolute time `time`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is NaN.
-    pub fn schedule(&mut self, time: SimTime, event: Event) {
-        assert!(!time.is_nan(), "cannot schedule at NaN");
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Scheduled { time, seq, event });
-    }
-
-    /// Pops the earliest event, if any.
-    pub fn pop(&mut self) -> Option<(SimTime, Event)> {
-        self.heap.pop().map(|s| (s.time, s.event))
-    }
-
-    /// The timestamp of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.time)
-    }
-
-    /// Number of pending events.
+    /// Number of pending events (tombstones included).
     pub fn len(&self) -> usize {
         self.heap.len()
     }
@@ -323,33 +335,36 @@ impl BinaryEventQueue {
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
+}
 
-    /// Writes the queue into a snapshot payload. The heap's internal
-    /// `Vec` order is implementation-defined but pop order is totally
-    /// ordered by `(time, seq)`, so rebuilding by re-pushing the
-    /// serialized triples reproduces the exact pop sequence.
-    pub(crate) fn snap(&self, w: &mut SnapWriter) {
-        w.len(self.heap.len());
-        for s in self.heap.iter() {
-            w.f64(s.time);
-            w.u64(s.seq);
-            s.event.snap(w);
-        }
-        w.u64(self.seq);
+impl EventQueue for BinaryEventQueue {
+    const VERIFY: bool = true;
+
+    fn schedule(&mut self, time: SimTime, event: Event) -> EventHandle {
+        assert!(!time.is_nan(), "cannot schedule at NaN");
+        let seq = self.seq;
+        self.seq += 1;
+        self.heap.push(Scheduled { time, seq, event });
+        self.high_water = self.high_water.max(self.heap.len());
+        EventHandle::NULL
     }
 
-    /// Reads a queue written by [`BinaryEventQueue::snap`].
-    pub(crate) fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let n = r.len("binary queue len")?;
-        let mut heap = BinaryHeap::with_capacity(n);
-        for _ in 0..n {
-            let time = r.f64("scheduled time")?;
-            let seq = r.u64("scheduled seq")?;
-            let event = Event::unsnap(r)?;
-            heap.push(Scheduled { time, seq, event });
-        }
-        let seq = r.u64("binary queue seq")?;
-        Ok(BinaryEventQueue { heap, seq })
+    /// A no-op: the event stays queued as a tombstone for the
+    /// engine's generation guard to drop.
+    fn cancel(&mut self, _handle: EventHandle) -> bool {
+        false
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, Event)> {
+        self.heap.pop().map(|s| (s.time, s.event))
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|s| s.time)
+    }
+
+    fn high_water(&self) -> usize {
+        self.high_water
     }
 }
 
@@ -702,6 +717,35 @@ impl<E: Copy> IndexedEventQueue<E> {
     }
 }
 
+impl EventQueue for IndexedEventQueue<Event> {
+    const VERIFY: bool = false;
+
+    #[inline]
+    fn schedule(&mut self, time: SimTime, event: Event) -> EventHandle {
+        IndexedEventQueue::schedule(self, time, event)
+    }
+
+    #[inline]
+    fn cancel(&mut self, handle: EventHandle) -> bool {
+        IndexedEventQueue::cancel(self, handle)
+    }
+
+    #[inline]
+    fn pop(&mut self) -> Option<(SimTime, Event)> {
+        IndexedEventQueue::pop(self)
+    }
+
+    #[inline]
+    fn peek_time(&self) -> Option<SimTime> {
+        IndexedEventQueue::peek_time(self)
+    }
+
+    #[inline]
+    fn high_water(&self) -> usize {
+        IndexedEventQueue::high_water(self)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -844,37 +888,6 @@ mod tests {
         assert_eq!(q.len(), 2);
         q.pop();
         assert_eq!(q.peek_time(), Some(4.0));
-    }
-
-    #[test]
-    fn binary_queue_snap_round_trips_pop_order() {
-        let mut q = BinaryEventQueue::new();
-        q.schedule(5.0, Event::Sample);
-        q.schedule(
-            5.0,
-            Event::Query {
-                peer: 3,
-                generation: 1,
-            },
-        );
-        q.schedule(1.5, Event::PeerJoin);
-        let mut w = sp_model::SnapWriter::new();
-        q.snap(&mut w);
-        let data = w.seal(sp_model::snapshot::ENGINE_REFERENCE);
-        let mut r = sp_model::SnapReader::open(&data).unwrap();
-        let mut restored = BinaryEventQueue::unsnap(&mut r).unwrap();
-        r.finish().unwrap();
-        loop {
-            let (a, b) = (q.pop(), restored.pop());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-        // Sequence counters continue identically after restore.
-        q.schedule(9.0, Event::Sample);
-        restored.schedule(9.0, Event::Sample);
-        assert_eq!(q.pop(), restored.pop());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Deterministic fault injection for the churn simulator.
 //!
-//! A [`FaultState`] owns everything fault-related that both engines
-//! share: the compiled [`FaultPlan`], a *dedicated* RNG stream (seeded
+//! A [`FaultState`] owns everything fault-related the churn engine
+//! needs: the compiled [`FaultPlan`], a *dedicated* RNG stream (seeded
 //! from `SimOptions::fault_seed`, never from the simulation's main
 //! stream), the currently active message-loss/delay/flaky windows, and
 //! the partition map. Keeping the fault stream separate means a run
@@ -10,10 +10,11 @@
 //! a different `--fault-seed` reuses the main seed's churn/query
 //! schedule exactly.
 //!
-//! Both the fast engine and the reference engine own a `FaultState`
-//! and call into it at the *same* logical points (submission, each
-//! flood transmission, each fault event), so the draw sequences align
-//! and `RawMetrics` — including [`FaultMetrics`] — stay bitwise equal.
+//! Both queue instantiations of the churn engine (the production
+//! engine and its oracle) own a `FaultState` and call into it at the
+//! *same* logical points (submission, each flood transmission, each
+//! fault event), so the draw sequences align and `RawMetrics` —
+//! including [`FaultMetrics`] — stay bitwise equal.
 //!
 //! Client-side recovery follows the plan's [`RetryPolicy`]: a failed
 //! submission attempt (dropped in flight, or a flaky partner) costs the
@@ -446,8 +447,8 @@ impl FaultState {
 
     /// Applies the fault event `(index, start)` and returns what the
     /// engine must execute. `alive` is the engine's alive-cluster list
-    /// in iteration order — both engines pass identical lists, so the
-    /// crash and partition resolutions match.
+    /// in iteration order — a deterministic list, so the crash and
+    /// partition resolutions replay exactly.
     pub fn on_fault_event(&mut self, index: u32, start: bool, alive: &[ClusterId]) -> FaultAction {
         let i = index as usize;
         let fault = self.plan.faults[i].clone();

@@ -29,15 +29,17 @@
 //! RNG streams keeping the reduced results bitwise identical at any
 //! thread count (see [`scenario::run_sim_trials`]).
 //!
-//! Two engines implement the same simulator: [`engine::Simulation`]
-//! (indexed event queue with O(log n) churn cancellation, pooled
-//! scratch buffers, cached connection counts) and
-//! [`reference::ReferenceSimulation`] (the original implementation,
-//! kept as the behavioral oracle and performance baseline). They
-//! produce bitwise-identical [`engine::RawMetrics`] on every seed;
-//! `tests/sim_determinism.rs` enforces it. A third engine,
-//! [`shard::ShardedSimulation`], trades per-peer lifecycle fidelity
-//! for scale: shared-nothing per-shard reactors exchanging messages at
+//! One churn engine, [`engine::Simulation`], is generic over its event
+//! queue. The production instantiation (indexed event queue with
+//! O(log n) churn cancellation, pooled scratch buffers, cached
+//! connection counts) is checked by the oracle instantiation
+//! `Simulation<BinaryEventQueue>`, which keeps tombstones in a plain
+//! binary heap and re-derives every cache the slow way at each use,
+//! asserting it against the cached value. The two produce
+//! bitwise-identical [`engine::RawMetrics`] on every seed;
+//! `tests/sim_determinism.rs` and the [`campaign`] enforce it. A second
+//! engine, [`shard::ShardedSimulation`], trades per-peer lifecycle
+//! fidelity for scale: shared-nothing per-shard reactors exchanging messages at
 //! tick barriers, bitwise identical at any shard count, sized for
 //! million-peer overlays (see the [`shard`] module docs and DESIGN.md
 //! §15). The [`metrics`] module adds
@@ -58,7 +60,6 @@ pub mod metrics;
 pub mod network;
 pub mod overload;
 pub mod phases;
-pub mod reference;
 pub mod repair;
 pub mod scenario;
 pub mod shard;
@@ -72,7 +73,6 @@ pub use faults::{FaultMetrics, FaultState, QueryOutcome, ReconnectHistogram, Sub
 pub use metrics::{EventKind, RunManifest, SimMetrics};
 pub use overload::{Admission, OvPoint, OverloadMetrics, OverloadState};
 pub use phases::{PhaseAction, ScenarioState};
-pub use reference::ReferenceSimulation;
 pub use repair::{ReachPoint, RepairMetrics};
 pub use scenario::{
     adaptive, adaptive_trials, crash_storm, crash_storm_trials, reliability, reliability_trials,

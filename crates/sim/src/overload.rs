@@ -374,9 +374,9 @@ pub enum Admission {
     },
 }
 
-/// The per-run overload runtime for the churn engines. All methods are
-/// draw-free and deterministic in call order; both engines call them at
-/// identical simulated times with identical arguments.
+/// The per-run overload runtime for the churn engine. All methods are
+/// draw-free and deterministic in call order, so every replay of a run
+/// calls them at identical simulated times with identical arguments.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OverloadState {
     policy: OverloadPolicy,

@@ -13,8 +13,8 @@
 //!   bitwise identical to a plain run;
 //! * phase boundaries are first-class queue events
 //!   ([`Event::Phase`](crate::events::Event::Phase)), scheduled at the
-//!   same bootstrap point in both engines so the FIFO tie-break
-//!   sequence numbers line up;
+//!   same bootstrap point on every run so the FIFO tie-break
+//!   sequence numbers replay exactly;
 //! * everything that needs randomness (mass-leave victims, split
 //!   membership) draws from the dedicated stream via partial
 //!   Fisher–Yates — deterministic, distinct, order-stable across
@@ -64,7 +64,7 @@ pub enum PhaseAction {
     SplitEnd,
 }
 
-/// Scenario state machine shared by both engines (see module docs).
+/// Scenario state machine of the churn engine (see module docs).
 #[derive(Debug, Clone)]
 pub struct ScenarioState {
     phases: Vec<PhaseSpec>,
@@ -257,8 +257,8 @@ impl ScenarioState {
     }
 
     /// Picks the mass-leave victims: indices into the engine's
-    /// alive-peer list (passed as its length; both engines build the
-    /// list in slot order, so indices resolve identically). Partial
+    /// alive-peer list (passed as its length; the engine builds the
+    /// list in slot order, so indices resolve deterministically). Partial
     /// Fisher–Yates on the scenario stream, mirroring the fault
     /// layer's `crash_fraction`; an empty pick makes no draws.
     pub fn pick_mass_leave(&mut self, alive: usize, fraction: f64) -> Vec<usize> {

@@ -1,4 +1,4 @@
-//! Overlay self-healing: repair bookkeeping shared by both engines.
+//! Overlay self-healing: repair bookkeeping of the churn engine.
 //!
 //! When fault injection kills every partner of a cluster and the run's
 //! [`RepairPolicy`](sp_model::repair::RepairPolicy) promotes, the
@@ -95,8 +95,8 @@ impl RepairMetrics {
     }
 }
 
-/// Per-cluster-slot headless-window bookkeeping. Both engines keep a
-/// `Vec<RepairPending>` parallel to the cluster slab; the slot is
+/// Per-cluster-slot headless-window bookkeeping. The churn engine
+/// keeps a `Vec<RepairPending>` parallel to the cluster slab; the slot is
 /// `active` from the moment the last partner dies to the moment the
 /// repair election runs (or the last client leaves).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]

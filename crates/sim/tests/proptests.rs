@@ -2,7 +2,7 @@
 //! arbitrary operation sequences must never violate the structural
 //! invariants (membership symmetry, edge symmetry, cached file counts,
 //! alive-list consistency) — and for the fault-injection layer:
-//! under *any* generated fault plan the fast and reference engines
+//! under *any* generated fault plan the production and oracle engines
 //! agree bitwise and the query-accounting conservation law holds.
 
 use proptest::prelude::*;
@@ -334,7 +334,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Under any generated fault plan the fast and reference engines
+    /// Under any generated fault plan the production and oracle engines
     /// produce bitwise-identical `RawMetrics`, and the recovery
     /// accounting conserves: every issued query is counted exactly once
     /// as direct, retry-recovered, failover-recovered, or lost, and the
@@ -348,7 +348,7 @@ proptest! {
     ) {
         use sp_model::config::Config;
         use sp_sim::engine::{SimOptions, Simulation};
-        use sp_sim::reference::ReferenceSimulation;
+        use sp_sim::events::BinaryEventQueue;
         let cfg = Config {
             graph_size: 100,
             cluster_size: 10,
@@ -363,9 +363,8 @@ proptest! {
         };
         let mut fast = Simulation::with_faults(&cfg, opts, &plan);
         let fast_metrics = fast.run();
-        let mut reference = ReferenceSimulation::with_faults(&cfg, opts, &plan);
-        let reference_metrics = reference.run();
-        prop_assert_eq!(&fast_metrics, &reference_metrics,
+        let oracle_metrics = Simulation::<BinaryEventQueue>::build(&cfg, opts, &plan).run();
+        prop_assert_eq!(&fast_metrics, &oracle_metrics,
             "engines diverged under plan {:?}", &plan);
         prop_assert!(fast.net.check_invariants().is_ok());
         prop_assert!(fast_metrics.faults.conserved(),
@@ -394,7 +393,7 @@ proptest! {
         use sp_model::config::Config;
         use sp_model::repair::RepairPolicy;
         use sp_sim::engine::{SimOptions, Simulation};
-        use sp_sim::reference::ReferenceSimulation;
+        use sp_sim::events::BinaryEventQueue;
         let cfg = Config {
             graph_size: 100,
             cluster_size: 10,
@@ -410,9 +409,8 @@ proptest! {
         };
         let mut fast = Simulation::with_faults(&cfg, opts, &plan);
         let repaired = fast.run();
-        let mut reference = ReferenceSimulation::with_faults(&cfg, opts, &plan);
-        let reference_metrics = reference.run();
-        prop_assert_eq!(&repaired, &reference_metrics,
+        let oracle_metrics = Simulation::<BinaryEventQueue>::build(&cfg, opts, &plan).run();
+        prop_assert_eq!(&repaired, &oracle_metrics,
             "engines diverged with repair under plan {:?}", &plan);
         prop_assert!(fast.net.check_invariants().is_ok());
         prop_assert!(repaired.faults.conserved(),
@@ -439,7 +437,7 @@ proptest! {
 
     /// Under any generated scenario plan — phased flash crowds, churn
     /// bursts, mass leaves, splits, capacity classes, embedded faults,
-    /// any repair policy — the fast and reference engines produce
+    /// any repair policy — the production and oracle engines produce
     /// bitwise-identical `RawMetrics`, the conservation law holds, and
     /// the plan survives a JSON round trip unchanged.
     #[test]
@@ -452,7 +450,7 @@ proptest! {
     ) {
         use sp_model::config::Config;
         use sp_sim::engine::{SimOptions, Simulation};
-        use sp_sim::reference::ReferenceSimulation;
+        use sp_sim::events::BinaryEventQueue;
         prop_assert!(plan.validate().is_ok(),
             "generator emitted an invalid plan {:?}", &plan);
         let round_trip = ScenarioPlan::from_json(&plan.to_json());
@@ -473,9 +471,9 @@ proptest! {
         };
         let mut fast = Simulation::with_scenario(&cfg, opts, &plan);
         let fast_metrics = fast.run();
-        let mut reference = ReferenceSimulation::with_scenario(&cfg, opts, &plan);
-        let reference_metrics = reference.run();
-        prop_assert_eq!(&fast_metrics, &reference_metrics,
+        let oracle_metrics =
+            Simulation::<BinaryEventQueue>::build_scenario(&cfg, opts, &plan).run();
+        prop_assert_eq!(&fast_metrics, &oracle_metrics,
             "engines diverged under scenario {:?}", &plan);
         prop_assert!(fast.net.check_invariants().is_ok());
         prop_assert!(fast_metrics.faults.conserved(),
@@ -520,7 +518,7 @@ proptest! {
     }
 
     /// Overload control under any generated scenario × any valid
-    /// policy: the fast and reference engines stay bitwise identical,
+    /// policy: the production and oracle engines stay bitwise identical,
     /// the *extended* conservation law holds (issued = lost +
     /// delivered + shed + rejected), and a bounded work queue never
     /// exceeds its configured capacity.
@@ -534,7 +532,7 @@ proptest! {
     ) {
         use sp_model::config::Config;
         use sp_sim::engine::{SimOptions, Simulation};
-        use sp_sim::reference::ReferenceSimulation;
+        use sp_sim::events::BinaryEventQueue;
         prop_assert!(policy.validate().is_ok(),
             "generator emitted an invalid policy {:?}", &policy);
         let mut plan = plan;
@@ -557,8 +555,8 @@ proptest! {
             ..Default::default()
         };
         let fast = Simulation::with_scenario(&cfg, opts, &plan).run();
-        let reference = ReferenceSimulation::with_scenario(&cfg, opts, &plan).run();
-        prop_assert_eq!(&fast, &reference,
+        let oracle = Simulation::<BinaryEventQueue>::build_scenario(&cfg, opts, &plan).run();
+        prop_assert_eq!(&fast, &oracle,
             "engines diverged under overload policy {:?}", &policy);
         prop_assert!(
             fast.overload.conserved(fast.faults.queries_issued, fast.faults.queries_lost),
@@ -628,11 +626,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Checkpoint/restore round trip under any generated scenario plan:
-    /// pausing either churn engine at an arbitrary point, snapshotting,
-    /// and restoring reproduces the uninterrupted run bitwise — and a
-    /// snapshot fed to the wrong engine is rejected by name.
+    /// pausing the churn engine at an arbitrary point, snapshotting,
+    /// and restoring reproduces the uninterrupted run bitwise.
     #[test]
-    fn checkpoint_round_trips_on_both_engines_under_any_scenario(
+    fn checkpoint_round_trips_under_any_scenario(
         plan in arb_scenario(300.0),
         seed in any::<u64>(),
         fault_seed in any::<u64>(),
@@ -640,9 +637,7 @@ proptest! {
         frac in 0.0f64..1.0,
     ) {
         use sp_model::config::Config;
-        use sp_model::snapshot::SnapshotError;
         use sp_sim::engine::{SimOptions, Simulation};
-        use sp_sim::reference::ReferenceSimulation;
         let cfg = Config {
             graph_size: 100,
             cluster_size: 10,
@@ -665,25 +660,11 @@ proptest! {
             .expect("own snapshot restores")
             .run();
         prop_assert_eq!(&full, &resumed,
-            "fast resume at t={} diverged under plan {:?}", at, &plan);
-
-        let full = ReferenceSimulation::with_scenario(&cfg, opts, &plan).run();
-        let mut paused = ReferenceSimulation::with_scenario(&cfg, opts, &plan);
-        paused.run_to(at);
-        let resumed = ReferenceSimulation::restore(&paused.snapshot())
-            .expect("own snapshot restores")
-            .run();
-        prop_assert_eq!(&full, &resumed,
-            "reference resume at t={} diverged under plan {:?}", at, &plan);
-
-        prop_assert!(matches!(
-            ReferenceSimulation::restore(&snap),
-            Err(SnapshotError::WrongEngine { .. })
-        ), "a fast snapshot must not restore into the reference engine");
+            "resume at t={} diverged under plan {:?}", at, &plan);
     }
 
     /// Resume invariance in the middle of an overloaded flash crowd:
-    /// checkpoint either churn engine while a 10× crowd is saturating
+    /// checkpoint the churn engine while a 10× crowd is saturating
     /// bounded queues (mid-shed, mid-brownout, mid-re-home), restore,
     /// and the finished run is bitwise identical to the uninterrupted
     /// one — the overload runtime state round-trips exactly.
@@ -697,7 +678,6 @@ proptest! {
     ) {
         use sp_model::config::Config;
         use sp_sim::engine::{SimOptions, Simulation};
-        use sp_sim::reference::ReferenceSimulation;
         let mut plan = ScenarioPlan::default();
         plan.phases.push(PhaseSpec {
             rate_mult: 1.0,
@@ -733,21 +713,12 @@ proptest! {
             .expect("own snapshot restores")
             .run();
         prop_assert_eq!(&full, &resumed,
-            "fast resume at t={} mid-crowd diverged under policy {:?}",
+            "resume at t={} mid-crowd diverged under policy {:?}",
             at, &plan.overload);
         prop_assert!(
             full.overload.conserved(full.faults.queries_issued, full.faults.queries_lost),
             "extended conservation broken mid-crowd: {:?}", &full.overload
         );
-
-        let full = ReferenceSimulation::with_scenario(&cfg, opts, &plan).run();
-        let mut paused = ReferenceSimulation::with_scenario(&cfg, opts, &plan);
-        paused.run_to(at);
-        let resumed = ReferenceSimulation::restore(&paused.snapshot())
-            .expect("own snapshot restores")
-            .run();
-        prop_assert_eq!(&full, &resumed,
-            "reference resume at t={} mid-crowd diverged", at);
     }
 
     /// Scale-engine checkpoints are canonical: produced at any shard

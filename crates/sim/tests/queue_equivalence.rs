@@ -5,7 +5,7 @@
 //! exist) must remove exactly the cancelled event — never an event
 //! that already fired, and never a recycled slot's new occupant.
 
-use sp_sim::events::{BinaryEventQueue, Event, EventHandle, IndexedEventQueue, PeerId};
+use sp_sim::events::{BinaryEventQueue, Event, EventHandle, EventQueue, IndexedEventQueue, PeerId};
 use sp_stats::SpRng;
 
 /// A distinguishable event: tag each scheduled event through the

@@ -1,9 +1,11 @@
-//! The fast engine's determinism contract, enforced end to end:
+//! The churn engine's determinism contract, enforced end to end:
 //!
-//! 1. [`Simulation`] (indexed queue, pooled scratch, cached connection
-//!    counts) and [`ReferenceSimulation`] (original binary-heap
-//!    implementation) produce **bitwise identical** [`RawMetrics`] on
-//!    every configuration and seed — every optimization is exact.
+//! 1. The production [`Simulation`] (indexed queue, pooled scratch,
+//!    cached connection counts) and the oracle
+//!    `Simulation<BinaryEventQueue>` (tombstone-keeping binary heap,
+//!    every cache re-derived and asserted at each use) produce
+//!    **bitwise identical** `RawMetrics` on every configuration and
+//!    seed — every optimization is exact.
 //! 2. Sharded trials reduce to bitwise-identical results at any thread
 //!    count, because each trial owns an RNG split and results are
 //!    collected by trial index.
@@ -16,7 +18,7 @@ use sp_model::repair::RepairPolicy;
 use sp_model::scenario::{CapacityClass, PhaseKind, PhaseSpec, ScenarioPlan};
 use sp_sim::campaign::{run_campaign, CampaignOptions};
 use sp_sim::engine::{AdaptSettings, ForwardPolicy, SimOptions, Simulation};
-use sp_sim::reference::ReferenceSimulation;
+use sp_sim::events::BinaryEventQueue;
 use sp_sim::scenario::{
     crash_storm_plan, crash_storm_trials, reliability_trials, steady_trials, SimTrialOptions,
 };
@@ -34,16 +36,16 @@ fn assert_engines_agree_with_faults(
 ) {
     let mut fast = Simulation::with_faults(config, opts, plan);
     let fast_metrics = fast.run();
-    let mut reference = ReferenceSimulation::with_faults(config, opts, plan);
-    let reference_metrics = reference.run();
+    let mut oracle = Simulation::<BinaryEventQueue>::build(config, opts, plan);
+    let oracle_metrics = oracle.run();
     assert_eq!(
-        fast_metrics, reference_metrics,
+        fast_metrics, oracle_metrics,
         "engines diverged on {label} (seed {})",
         opts.seed
     );
     assert_eq!(
         fast.events_delivered(),
-        reference.events_delivered(),
+        oracle.events_delivered(),
         "delivered-event counts diverged on {label}",
     );
 }
@@ -56,16 +58,16 @@ fn assert_engines_agree_with_scenario(
 ) {
     let mut fast = Simulation::with_scenario(config, opts, plan);
     let fast_metrics = fast.run();
-    let mut reference = ReferenceSimulation::with_scenario(config, opts, plan);
-    let reference_metrics = reference.run();
+    let mut oracle = Simulation::<BinaryEventQueue>::build_scenario(config, opts, plan);
+    let oracle_metrics = oracle.run();
     assert_eq!(
-        fast_metrics, reference_metrics,
+        fast_metrics, oracle_metrics,
         "engines diverged on {label} (seed {}, scenario seed {})",
         opts.seed, opts.scenario_seed
     );
     assert_eq!(
         fast.events_delivered(),
-        reference.events_delivered(),
+        oracle.events_delivered(),
         "delivered-event counts diverged on {label}",
     );
 }
@@ -316,8 +318,10 @@ fn empty_scenario_plan_is_bitwise_inert() {
 #[test]
 fn campaign_is_green_and_bitwise_identical_across_thread_counts() {
     // The standing fuzz gate's own contract: a seeded differential
-    // campaign finds no divergences, and its order-sensitive
-    // fingerprint is invariant under the worker-thread count.
+    // campaign finds no divergences and quarantines nothing (a failed
+    // oracle cache assertion is a panic, hence a quarantine), and its
+    // order-sensitive fingerprint is invariant under the worker-thread
+    // count.
     let base = CampaignOptions {
         count: 6,
         seed: 13,
@@ -332,6 +336,15 @@ fn campaign_is_green_and_bitwise_identical_across_thread_counts() {
         single.divergences.is_empty(),
         "campaign found divergences: {:?}",
         single.divergences
+    );
+    assert!(
+        single.quarantined.is_empty(),
+        "campaign quarantined scenarios: {:?}",
+        single
+            .quarantined
+            .iter()
+            .map(|q| &q.reason)
+            .collect::<Vec<_>>()
     );
     for threads in [2, 8] {
         let sharded = run_campaign(&CampaignOptions { threads, ..base });
@@ -759,11 +772,11 @@ fn sharded_trials_are_bitwise_identical_across_thread_counts() {
 }
 
 #[test]
-fn checkpoint_resume_is_bitwise_identical_on_both_churn_engines() {
+fn checkpoint_resume_is_bitwise_identical_to_both_instantiations() {
     // The checkpoint contract (DESIGN.md §17): run-to-T, snapshot,
     // restore in a fresh process image, run-to-end must reproduce the
-    // uninterrupted run byte for byte — on the fast engine AND the
-    // reference engine, under the full scenario machinery.
+    // uninterrupted run byte for byte under the full scenario
+    // machinery — and therefore the oracle's uninterrupted run too.
     let plan = rich_scenario_plan();
     let config = Config {
         graph_size: 120,
@@ -782,7 +795,8 @@ fn checkpoint_resume_is_bitwise_identical_on_both_churn_engines() {
         ..Default::default()
     };
     let full_fast = Simulation::with_scenario(&config, opts, &plan).run();
-    let full_reference = ReferenceSimulation::with_scenario(&config, opts, &plan).run();
+    let full_oracle = Simulation::<BinaryEventQueue>::build_scenario(&config, opts, &plan).run();
+    assert_eq!(full_fast, full_oracle, "oracle diverged on the full run");
     for at in [1.0, 300.0, 650.0, 1199.0] {
         let mut fast = Simulation::with_scenario(&config, opts, &plan);
         fast.run_to(at);
@@ -794,16 +808,6 @@ fn checkpoint_resume_is_bitwise_identical_on_both_churn_engines() {
         // Snapshotting is a pure read: the paused original must still
         // finish identically.
         assert_eq!(full_fast, fast.run(), "snapshot perturbed the paused run");
-
-        let mut reference = ReferenceSimulation::with_scenario(&config, opts, &plan);
-        reference.run_to(at);
-        let resumed = ReferenceSimulation::restore(&reference.snapshot())
-            .expect("reference snapshot restores")
-            .run();
-        assert_eq!(
-            full_reference, resumed,
-            "reference resume diverged at t={at}"
-        );
     }
 }
 
