@@ -79,6 +79,7 @@ use sp_sim::engine::RawMetrics;
 use sp_sim::events::BinaryEventQueue;
 use sp_sim::scenario::{crash_storm_plan, crash_storm_trials, SimTrialOptions};
 use sp_sim::{ScaleOptions, ShardedSimulation, SimOptions, Simulation};
+use sp_stats::histogram::SUB_BUCKETS;
 use sp_stats::SpRng;
 
 /// Counts every heap allocation so the zero-allocation claims for the
@@ -528,12 +529,13 @@ fn overload_section() {
     // sheds and end-of-run residual are the implicit remainder.
     let explicit = ov.delivered + ov.shed_discipline + ov.rejected_queue + ov.rejected_budget;
     let accounted_fraction = explicit as f64 / issued.max(1) as f64;
-    let p99_controlled = ov.latency.quantile_secs(0.99);
-    let p99_uncontrolled = uncontrolled.overload.latency.quantile_secs(0.99);
-    // A bounded queue drains in (capacity + 1) service times; 1.5×
-    // covers histogram bucket granularity.
-    let p99_bound =
-        1.5 * (controlled_policy.queue_capacity + 1) as f64 / controlled_policy.service_rate;
+    let p99_controlled = ov.latency_secs(0.99);
+    let p99_uncontrolled = uncontrolled.overload.latency_secs(0.99);
+    // A bounded queue drains in (capacity + 1) service times; a
+    // reported quantile is at most 1/SUB_BUCKETS above the true one.
+    let p99_bound = (1.0 + 1.0 / SUB_BUCKETS as f64)
+        * (controlled_policy.queue_capacity + 1) as f64
+        / controlled_policy.service_rate;
     let divergence = p99_uncontrolled / p99_controlled.max(f64::MIN_POSITIVE);
 
     println!(
@@ -588,7 +590,7 @@ fn overload_section() {
         crh = ov.rehomed,
         cbe = ov.brownout_entries,
         cpd = ov.peak_depth,
-        cp50 = ov.latency.quantile_secs(0.5),
+        cp50 = ov.latency_secs(0.5),
         cp99 = p99_controlled,
         bound = p99_bound,
         af = accounted_fraction,

@@ -16,7 +16,9 @@ use sp_core::sim::engine::{RawMetrics, SimOptions, Simulation};
 use sp_core::sim::scenario::{
     crash_storm, crash_storm_trials, reliability, steady_trials, SimReport, SimTrialOptions,
 };
-use sp_core::sim::shard::{ScaleDiag, ScaleMetrics, ScaleOptions, ShardFailure, ShardedSimulation};
+use sp_core::sim::shard::{
+    ScaleDiag, ScaleMetrics, ScaleOptions, ShardFailure, ShardedSimulation, NS_PER_TICK,
+};
 use sp_core::{Load, NetworkBuilder};
 
 use crate::args::{ArgError, Args};
@@ -966,7 +968,7 @@ pub fn simulate(args: &Args) -> Result<String, CliError> {
         ]);
         t.row(vec![
             "mean reconnect (s)".into(),
-            format!("{:.1}", fm.reconnect.mean_secs()),
+            format!("{:.1}", fm.reconnect.mean_ns() / 1e9),
         ]);
         if effective_repair.promotes() {
             t.row(vec!["repair promotions".into(), rm.promotions.to_string()]);
@@ -1002,8 +1004,8 @@ pub fn simulate(args: &Args) -> Result<String, CliError> {
             "response latency p50 / p99 (s)".into(),
             format!(
                 "{:.1} / {:.1}",
-                om.latency.quantile_secs(0.50),
-                om.latency.quantile_secs(0.99)
+                om.latency_secs(0.50),
+                om.latency_secs(0.99)
             ),
         ]);
         t.row(vec![
@@ -1020,7 +1022,7 @@ pub fn simulate(args: &Args) -> Result<String, CliError> {
             om.shed_discipline + om.shed_dead + om.shed_residual,
             om.rejected_queue + om.rejected_budget,
             om.rehomed,
-            om.latency.quantile_secs(0.99)
+            om.latency_secs(0.99)
         ));
     }
     Ok(t.render())
@@ -1175,7 +1177,11 @@ fn scale_report(
         ]);
         t.row(vec![
             "overload peak depth / wait p99 (ticks)".into(),
-            format!("{} / {}", m.ov_peak_depth, m.ov_wait_quantile_ticks(0.99)),
+            format!(
+                "{} / {}",
+                m.ov_peak_depth,
+                m.ov_wait.quantile_ns(0.99) / NS_PER_TICK
+            ),
         ]);
     }
     t.row(vec![

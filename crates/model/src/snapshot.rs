@@ -24,16 +24,20 @@
 //!   truncation before any field is decoded.
 //!
 //! Engines own their payload layout; this module owns the container,
-//! the primitive encodings ([`SnapWriter`] / [`SnapReader`]), and the
+//! the primitive encodings ([`SnapWriter`] / [`SnapReader`], including
+//! the one [`DurationHistogram`] codec every engine uses), and the
 //! error taxonomy ([`SnapshotError`]).
+
+use sp_stats::DurationHistogram;
 
 /// Magic bytes opening every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"SPSN";
 
 /// Current snapshot schema version. Bump on any payload layout change;
 /// readers reject snapshots from other versions by name. Version 2
-/// added the overload-control policy and runtime state.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// added the overload-control policy and runtime state; version 3
+/// stores every duration distribution as a [`DurationHistogram`].
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Engine tag: the fast churn engine (`sp_sim::engine::Simulation`).
 pub const ENGINE_FAST: u8 = 1;
@@ -195,6 +199,17 @@ impl SnapWriter {
     /// Appends a length-prefixed UTF-8 string.
     pub fn str(&mut self, v: &str) {
         self.bytes(v.as_bytes());
+    }
+
+    /// Appends a [`DurationHistogram`]: its length-prefixed buckets,
+    /// then its total and maximum.
+    pub fn histogram(&mut self, h: &DurationHistogram) {
+        self.len(h.buckets().len());
+        for &b in h.buckets() {
+            self.u64(b);
+        }
+        self.u64(h.total_ns());
+        self.u64(h.max_ns());
     }
 
     /// Seals the payload into the full container for `engine`.
@@ -379,6 +394,20 @@ impl<'a> SnapReader<'a> {
             .map_err(|_| SnapshotError::Malformed(format!("{context}: invalid UTF-8")))
     }
 
+    /// Reads a histogram written by [`SnapWriter::histogram`]; parts
+    /// that no recording could produce are malformed.
+    pub fn histogram(&mut self, context: &'static str) -> Result<DurationHistogram, SnapshotError> {
+        let n = self.len(context)?;
+        let buckets = (0..n)
+            .map(|_| self.u64(context))
+            .collect::<Result<Vec<u64>, _>>()?;
+        let total_ns = self.u64(context)?;
+        let max_ns = self.u64(context)?;
+        DurationHistogram::from_parts(buckets, total_ns, max_ns).ok_or_else(|| {
+            SnapshotError::Malformed(format!("{context}: inconsistent duration histogram"))
+        })
+    }
+
     /// Errors unless every payload byte has been consumed — trailing
     /// garbage means writer and reader disagree about the layout.
     pub fn finish(self) -> Result<(), SnapshotError> {
@@ -451,6 +480,42 @@ mod tests {
             }
             other => panic!("wrong error: {other:?}"),
         }
+    }
+
+    #[test]
+    fn rejects_version_2_snapshots_by_name() {
+        // Version 2 stored bespoke power-of-two histograms.
+        let mut data = sample();
+        data[4..8].copy_from_slice(&2u32.to_le_bytes());
+        let err = SnapReader::open(&data).unwrap_err().to_string();
+        assert!(
+            err.starts_with("snapshot schema version 2 is not supported"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn histograms_round_trip_and_reject_inconsistent_parts() {
+        let mut h = DurationHistogram::default();
+        for ns in [0, 15, 16, 1_000_000_007, u64::MAX] {
+            h.record(ns);
+        }
+        let mut w = SnapWriter::new();
+        w.histogram(&DurationHistogram::default());
+        w.histogram(&h);
+        // One bucket holding a 3, but a maximum of 99: no recording
+        // produces that.
+        for v in [1, 3, 0, 99] {
+            w.u64(v);
+        }
+        let data = w.seal(ENGINE_FAST);
+        let mut r = SnapReader::open(&data).unwrap();
+        assert_eq!(r.histogram("empty").unwrap(), DurationHistogram::default());
+        assert_eq!(r.histogram("full").unwrap(), h);
+        assert!(matches!(
+            r.histogram("bad"),
+            Err(SnapshotError::Malformed(_))
+        ));
     }
 
     #[test]

@@ -299,7 +299,7 @@ pub(crate) fn snap_repair_metrics(m: &RepairMetrics, w: &mut SnapWriter) {
     w.f64(m.reindex_bytes);
     w.u64(m.abandoned);
     w.u64(m.queries_during_outage);
-    m.time_to_repair.snap(w);
+    w.histogram(&m.time_to_repair);
     w.len(m.reachability.len());
     for p in &m.reachability {
         w.f64(p.time);
@@ -310,35 +310,27 @@ pub(crate) fn snap_repair_metrics(m: &RepairMetrics, w: &mut SnapWriter) {
     w.f64(m.final_reachable_fraction);
 }
 
-/// Reads metrics written by [`snap_repair_metrics`].
+/// Reads metrics written by [`snap_repair_metrics`], in payload order.
 pub(crate) fn unsnap_repair_metrics(
     r: &mut SnapReader<'_>,
 ) -> Result<RepairMetrics, SnapshotError> {
-    let promotions = r.u64("repair promotions")?;
-    let partner_recruitments = r.u64("repair partner_recruitments")?;
-    let reindexed_clients = r.u64("repair reindexed_clients")?;
-    let reindex_bytes = r.f64("repair reindex_bytes")?;
-    let abandoned = r.u64("repair abandoned")?;
-    let queries_during_outage = r.u64("repair queries_during_outage")?;
-    let time_to_repair = crate::faults::ReconnectHistogram::unsnap(r)?;
-    let n = r.len("repair reachability len")?;
-    let mut reachability = Vec::with_capacity(n);
-    for _ in 0..n {
-        reachability.push(ReachPoint {
-            time: r.f64("reach time")?,
-            components: r.u32("reach components")?,
-            reachable_fraction: r.f64("reach fraction")?,
-        });
-    }
     Ok(RepairMetrics {
-        promotions,
-        partner_recruitments,
-        reindexed_clients,
-        reindex_bytes,
-        abandoned,
-        queries_during_outage,
-        time_to_repair,
-        reachability,
+        promotions: r.u64("repair promotions")?,
+        partner_recruitments: r.u64("repair partner_recruitments")?,
+        reindexed_clients: r.u64("repair reindexed_clients")?,
+        reindex_bytes: r.f64("repair reindex_bytes")?,
+        abandoned: r.u64("repair abandoned")?,
+        queries_during_outage: r.u64("repair queries_during_outage")?,
+        time_to_repair: r.histogram("repair time_to_repair")?,
+        reachability: (0..r.len("repair reachability len")?)
+            .map(|_| {
+                Ok(ReachPoint {
+                    time: r.f64("reach time")?,
+                    components: r.u32("reach components")?,
+                    reachable_fraction: r.f64("reach fraction")?,
+                })
+            })
+            .collect::<Result<_, SnapshotError>>()?,
         final_components: r.u32("repair final_components")?,
         final_reachable_fraction: r.f64("repair final_reachable_fraction")?,
     })
@@ -356,7 +348,6 @@ pub(crate) fn snap_raw_metrics(m: &RawMetrics, w: &mut SnapWriter) {
     w.u64(m.queries);
     w.u64(m.cluster_failures);
     w.u64(m.orphan_events);
-    snap_stats(&m.downtime, w);
     w.f64(m.client_connected_secs);
     w.f64(m.client_disconnected_secs);
     w.len(m.timeline.len());
@@ -374,48 +365,33 @@ pub(crate) fn snap_raw_metrics(m: &RawMetrics, w: &mut SnapWriter) {
     m.overload.snap(w);
 }
 
-/// Reads metrics written by [`snap_raw_metrics`].
+/// Reads metrics written by [`snap_raw_metrics`], in payload order.
 pub(crate) fn unsnap_raw_metrics(r: &mut SnapReader<'_>) -> Result<RawMetrics, SnapshotError> {
-    let sp_in = unsnap_stats(r)?;
-    let sp_out = unsnap_stats(r)?;
-    let sp_proc = unsnap_stats(r)?;
-    let client_in = unsnap_stats(r)?;
-    let client_out = unsnap_stats(r)?;
-    let client_proc = unsnap_stats(r)?;
-    let results = unsnap_stats(r)?;
-    let queries = r.u64("metrics queries")?;
-    let cluster_failures = r.u64("metrics cluster_failures")?;
-    let orphan_events = r.u64("metrics orphan_events")?;
-    let downtime = unsnap_stats(r)?;
-    let client_connected_secs = r.f64("metrics client_connected_secs")?;
-    let client_disconnected_secs = r.f64("metrics client_disconnected_secs")?;
-    let n = r.len("metrics timeline len")?;
-    let mut timeline = Vec::with_capacity(n);
-    for _ in 0..n {
-        timeline.push(TimelinePoint {
-            time: r.f64("timeline time")?,
-            clusters: r.len("timeline clusters")?,
-            peers: r.len("timeline peers")?,
-            mean_cluster_size: r.f64("timeline mean_cluster_size")?,
-            mean_ttl: r.f64("timeline mean_ttl")?,
-            mean_outdegree: r.f64("timeline mean_outdegree")?,
-        });
-    }
     Ok(RawMetrics {
-        sp_in,
-        sp_out,
-        sp_proc,
-        client_in,
-        client_out,
-        client_proc,
-        results,
-        queries,
-        cluster_failures,
-        orphan_events,
-        downtime,
-        client_connected_secs,
-        client_disconnected_secs,
-        timeline,
+        sp_in: unsnap_stats(r)?,
+        sp_out: unsnap_stats(r)?,
+        sp_proc: unsnap_stats(r)?,
+        client_in: unsnap_stats(r)?,
+        client_out: unsnap_stats(r)?,
+        client_proc: unsnap_stats(r)?,
+        results: unsnap_stats(r)?,
+        queries: r.u64("metrics queries")?,
+        cluster_failures: r.u64("metrics cluster_failures")?,
+        orphan_events: r.u64("metrics orphan_events")?,
+        client_connected_secs: r.f64("metrics client_connected_secs")?,
+        client_disconnected_secs: r.f64("metrics client_disconnected_secs")?,
+        timeline: (0..r.len("metrics timeline len")?)
+            .map(|_| {
+                Ok(TimelinePoint {
+                    time: r.f64("timeline time")?,
+                    clusters: r.len("timeline clusters")?,
+                    peers: r.len("timeline peers")?,
+                    mean_cluster_size: r.f64("timeline mean_cluster_size")?,
+                    mean_ttl: r.f64("timeline mean_ttl")?,
+                    mean_outdegree: r.f64("timeline mean_outdegree")?,
+                })
+            })
+            .collect::<Result<_, SnapshotError>>()?,
         adapt_actions: r.u64("metrics adapt_actions")?,
         faults: FaultMetrics::unsnap(r)?,
         repair: unsnap_repair_metrics(r)?,

@@ -63,7 +63,7 @@ use sp_model::overload::OverloadPolicy;
 use sp_model::query_model::QueryModel;
 use sp_model::repair::RepairPolicy;
 use sp_stats::dist::Normal;
-use sp_stats::{OnlineStats, SpRng};
+use sp_stats::{ns_from_secs, OnlineStats, SpRng};
 
 use sp_model::faults::FaultPlan;
 use sp_model::scenario::ScenarioPlan;
@@ -223,8 +223,6 @@ pub struct RawMetrics {
     pub cluster_failures: u64,
     /// Clients orphaned by cluster failures.
     pub orphan_events: u64,
-    /// Downtime per orphan event, seconds.
-    pub downtime: OnlineStats,
     /// Total client-seconds spent connected.
     pub client_connected_secs: f64,
     /// Total client-seconds spent orphaned.
@@ -1477,7 +1475,7 @@ impl<Q: EventQueue> Simulation<Q> {
         self.metrics
             .repair
             .time_to_repair
-            .record(self.now - pending.down_since);
+            .record(ns_from_secs(self.now - pending.down_since));
         // Restart the adaptation loop the headless window stalled.
         if pending.adapt_stalled {
             if let Some(adapt) = self.opts.adapt {
@@ -1593,8 +1591,7 @@ impl<Q: EventQueue> Simulation<Q> {
             Some(c) if delivered => {
                 let downtime = self.now - orphaned_at;
                 self.metrics.client_disconnected_secs += downtime;
-                self.metrics.downtime.push(downtime);
-                self.metrics.faults.reconnect.record(downtime);
+                self.metrics.faults.reconnect.record(ns_from_secs(downtime));
                 self.rejoin_h[peer as usize] = EventHandle::NULL;
                 self.attach_and_charge_join(peer, c);
             }

@@ -22,12 +22,13 @@
 //! (accounted in [`FaultMetrics::retry_wait_secs`], never scheduled),
 //! and after `max_retries` retries the client fails over to the second
 //! partner of a k≥2 virtual super-peer. Only when the failover
-//! sequence is exhausted too is the query counted lost.
+//! sequence is exhausted too is the query counted lost. Orphans'
+//! reconnect times go into a nanosecond [`sp_stats::DurationHistogram`].
 
 use crate::events::ClusterId;
 use sp_model::faults::{FaultPlan, FaultSpec, RetryPolicy};
 use sp_model::snapshot::{SnapReader, SnapWriter, SnapshotError};
-use sp_stats::SpRng;
+use sp_stats::{DurationHistogram, SpRng};
 
 /// How a client query submission ultimately resolved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,96 +92,6 @@ pub enum FaultAction {
     Crash(Vec<ClusterId>),
 }
 
-/// A log₂-bucketed histogram of reconnect times, in seconds.
-///
-/// Bucket `i` counts reconnects that took `[2^i, 2^(i+1))` seconds
-/// (bucket 0 also holds sub-second reconnects).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReconnectHistogram {
-    buckets: [u64; 32],
-    count: u64,
-    total_secs: f64,
-    max_secs: f64,
-}
-
-impl Default for ReconnectHistogram {
-    fn default() -> Self {
-        ReconnectHistogram {
-            buckets: [0; 32],
-            count: 0,
-            total_secs: 0.0,
-            max_secs: 0.0,
-        }
-    }
-}
-
-impl ReconnectHistogram {
-    /// Records one client's downtime between orphaning and reattach.
-    pub fn record(&mut self, secs: f64) {
-        let secs = secs.max(0.0);
-        let bucket = (secs.max(1.0).log2().floor() as usize).min(31);
-        self.buckets[bucket] += 1;
-        self.count += 1;
-        self.total_secs += secs;
-        if secs > self.max_secs {
-            self.max_secs = secs;
-        }
-    }
-
-    /// Reconnects recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of reconnect times, seconds.
-    pub fn total_secs(&self) -> f64 {
-        self.total_secs
-    }
-
-    /// Longest reconnect, seconds.
-    pub fn max_secs(&self) -> f64 {
-        self.max_secs
-    }
-
-    /// Mean reconnect time (0 when empty).
-    pub fn mean_secs(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total_secs / self.count as f64
-        }
-    }
-
-    /// Bucket counts (bucket `i` covers `[2^i, 2^(i+1))` seconds).
-    pub fn buckets(&self) -> &[u64; 32] {
-        &self.buckets
-    }
-
-    /// Writes the histogram into a snapshot payload.
-    pub(crate) fn snap(&self, w: &mut SnapWriter) {
-        for &b in &self.buckets {
-            w.u64(b);
-        }
-        w.u64(self.count);
-        w.f64(self.total_secs);
-        w.f64(self.max_secs);
-    }
-
-    /// Reads a histogram written by [`ReconnectHistogram::snap`].
-    pub(crate) fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let mut buckets = [0u64; 32];
-        for b in &mut buckets {
-            *b = r.u64("histogram bucket")?;
-        }
-        Ok(ReconnectHistogram {
-            buckets,
-            count: r.u64("histogram count")?,
-            total_secs: r.f64("histogram total_secs")?,
-            max_secs: r.f64("histogram max_secs")?,
-        })
-    }
-}
-
 /// Fault-injection and recovery counters, embedded in `RawMetrics` so
 /// engine-equivalence checks cover them bitwise.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -211,8 +122,9 @@ pub struct FaultMetrics {
     pub delay_added_secs: f64,
     /// Orphaned clients that exhausted the rejoin-attempt cap.
     pub orphan_gave_up: u64,
-    /// Time-to-reconnect distribution for recovered orphans.
-    pub reconnect: ReconnectHistogram,
+    /// Time-to-reconnect distribution for recovered orphans,
+    /// nanoseconds of simulated time.
+    pub reconnect: DurationHistogram,
 }
 
 impl FaultMetrics {
@@ -260,7 +172,7 @@ impl FaultMetrics {
         w.f64(self.retry_wait_secs);
         w.f64(self.delay_added_secs);
         w.u64(self.orphan_gave_up);
-        self.reconnect.snap(w);
+        w.histogram(&self.reconnect);
     }
 
     /// Reads counters written by [`FaultMetrics::snap`].
@@ -279,7 +191,7 @@ impl FaultMetrics {
             retry_wait_secs: r.f64("fault retry_wait_secs")?,
             delay_added_secs: r.f64("fault delay_added_secs")?,
             orphan_gave_up: r.u64("fault orphan_gave_up")?,
-            reconnect: ReconnectHistogram::unsnap(r)?,
+            reconnect: r.histogram("fault reconnect")?,
         })
     }
 }
@@ -875,20 +787,6 @@ mod tests {
         assert!(fm.conserved());
         assert!(fm.answered_direct > 0);
         assert!(fm.recovered_retry > 0, "q=0.4 should force some retries");
-    }
-
-    #[test]
-    fn reconnect_histogram_buckets_by_log2() {
-        let mut h = ReconnectHistogram::default();
-        for secs in [0.0, 0.5, 1.0, 3.0, 1024.0] {
-            h.record(secs);
-        }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.buckets()[0], 3, "sub-2s reconnects share bucket 0");
-        assert_eq!(h.buckets()[1], 1);
-        assert_eq!(h.buckets()[10], 1);
-        assert_eq!(h.max_secs(), 1024.0);
-        assert!(h.mean_secs() > 0.0);
     }
 
     #[test]

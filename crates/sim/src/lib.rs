@@ -69,7 +69,7 @@ pub use campaign::{
     CompletedScenario, Divergence, Quarantine, ScenarioOutcome, CAMPAIGN_SCHEMA_VERSION,
 };
 pub use engine::{ForwardPolicy, SimOptions, Simulation};
-pub use faults::{FaultMetrics, FaultState, QueryOutcome, ReconnectHistogram, Submission};
+pub use faults::{FaultMetrics, FaultState, QueryOutcome, Submission};
 pub use metrics::{EventKind, RunManifest, SimMetrics};
 pub use overload::{Admission, OvPoint, OverloadMetrics, OverloadState};
 pub use phases::{PhaseAction, ScenarioState};

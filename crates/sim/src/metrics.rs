@@ -1,6 +1,6 @@
 //! Engine observability: event-rate counters, per-event-type wall-time
-//! histograms, queue-depth high-water marks, and a structured run
-//! manifest.
+//! [`DurationHistogram`]s in nanoseconds, queue-depth high-water marks,
+//! and a structured run manifest.
 //!
 //! The counters are cheap enough to stay on unconditionally (an array
 //! increment per dispatched event); the wall-clock histograms cost two
@@ -20,6 +20,7 @@ use crate::overload::OverloadMetrics;
 use crate::repair::RepairMetrics;
 use sp_model::overload::OverloadPolicy;
 use sp_model::repair::RepairPolicy;
+use sp_stats::DurationHistogram;
 
 /// Discriminant of an [`Event`], used to index per-kind counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,80 +103,15 @@ impl EventKind {
     }
 }
 
-/// A log₂-bucketed histogram of nanosecond durations.
-///
-/// Bucket `i` counts samples in `[2^i, 2^(i+1))` ns (bucket 0 also
-/// holds zero). 64 buckets cover every representable `u64` duration,
-/// so recording can never overflow a bucket index.
-#[derive(Debug, Clone)]
-pub struct WallHistogram {
-    buckets: [u64; 64],
-    count: u64,
-    total_ns: u64,
-    max_ns: u64,
-}
-
-impl Default for WallHistogram {
-    fn default() -> Self {
-        WallHistogram {
-            buckets: [0; 64],
-            count: 0,
-            total_ns: 0,
-            max_ns: 0,
-        }
-    }
-}
-
-impl WallHistogram {
-    /// Records one duration.
-    pub fn record(&mut self, ns: u64) {
-        let bucket = (64 - ns.leading_zeros()).saturating_sub(1) as usize;
-        self.buckets[bucket] += 1;
-        self.count += 1;
-        self.total_ns = self.total_ns.saturating_add(ns);
-        self.max_ns = self.max_ns.max(ns);
-    }
-
-    /// Samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of recorded durations, nanoseconds (saturating).
-    pub fn total_ns(&self) -> u64 {
-        self.total_ns
-    }
-
-    /// Largest recorded duration, nanoseconds.
-    pub fn max_ns(&self) -> u64 {
-        self.max_ns
-    }
-
-    /// Mean duration in nanoseconds (0 when empty).
-    pub fn mean_ns(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total_ns as f64 / self.count as f64
-        }
-    }
-
-    /// Approximate quantile from the bucket boundaries: returns the
-    /// upper edge of the bucket containing the `q`-quantile sample.
-    pub fn quantile_ns(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target.max(1) {
-                return 2u64.saturating_pow(i as u32 + 1).saturating_sub(1);
-            }
-        }
-        self.max_ns
-    }
+/// A simulated-time distribution as a manifest object in seconds.
+fn secs_json(h: &DurationHistogram) -> String {
+    format!(
+        "{{ \"count\": {}, \"mean_secs\": {:.3}, \"max_secs\": {:.3}, \"total_secs\": {:.3} }}",
+        h.count(),
+        h.mean_ns() / 1e9,
+        h.max_ns() as f64 / 1e9,
+        h.total_ns() as f64 / 1e9
+    )
 }
 
 /// An in-flight wall-time measurement for one event handler.
@@ -222,7 +158,7 @@ pub struct SimMetrics {
     pub queue_high_water: usize,
     /// Per-kind handler wall time; only populated when profiling was
     /// requested via `SimOptions::profile`.
-    pub wall: [WallHistogram; NUM_EVENT_KINDS],
+    pub wall: [DurationHistogram; NUM_EVENT_KINDS],
     /// Whether the wall histograms were populated.
     pub profiled: bool,
 }
@@ -390,13 +326,7 @@ impl RunManifest {
             f.delay_added_secs
         ));
         s.push_str(&format!("    \"orphan_gave_up\": {},\n", f.orphan_gave_up));
-        s.push_str(&format!(
-            "    \"reconnect\": {{ \"count\": {}, \"mean_secs\": {:.3}, \"max_secs\": {:.3}, \"total_secs\": {:.3} }}\n",
-            f.reconnect.count(),
-            f.reconnect.mean_secs(),
-            f.reconnect.max_secs(),
-            f.reconnect.total_secs()
-        ));
+        s.push_str(&format!("    \"reconnect\": {}\n", secs_json(&f.reconnect)));
         s.push_str("  },\n");
         let r = &self.repair;
         s.push_str(&format!(
@@ -420,11 +350,8 @@ impl RunManifest {
             r.queries_during_outage
         ));
         s.push_str(&format!(
-            "    \"time_to_repair\": {{ \"count\": {}, \"mean_secs\": {:.3}, \"max_secs\": {:.3}, \"total_secs\": {:.3} }},\n",
-            r.time_to_repair.count(),
-            r.time_to_repair.mean_secs(),
-            r.time_to_repair.max_secs(),
-            r.time_to_repair.total_secs()
+            "    \"time_to_repair\": {},\n",
+            secs_json(&r.time_to_repair)
         ));
         s.push_str(&format!(
             "    \"final_components\": {},\n",
@@ -526,19 +453,6 @@ mod tests {
         for kind in EventKind::ALL {
             assert_eq!(m.delivered_of(kind), 1, "kind {} miscounted", kind.name());
         }
-    }
-
-    #[test]
-    fn histogram_buckets_powers_of_two() {
-        let mut h = WallHistogram::default();
-        for ns in [0u64, 1, 2, 3, 4, 1023, 1024, u64::MAX] {
-            h.record(ns);
-        }
-        assert_eq!(h.count(), 8);
-        assert_eq!(h.max_ns(), u64::MAX);
-        assert!(h.mean_ns() > 0.0);
-        // Median sits well below the max outlier.
-        assert!(h.quantile_ns(0.5) <= 2048);
     }
 
     #[test]

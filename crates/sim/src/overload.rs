@@ -27,109 +27,16 @@
 //! residual), or *delivered* (response completed). `issued = delivered
 //! + lost + shed + rejected`, checked by
 //! [`OverloadMetrics::conserved`].
+//!
+//! Latencies are integer nanoseconds: a reported p99 is at most 1/16
+//! above the true one and never below it.
 
 use sp_model::overload::{OverloadPolicy, ShedDiscipline};
 use sp_model::snapshot::{SnapReader, SnapWriter, SnapshotError};
+use sp_stats::{ns_from_secs, DurationHistogram};
 use std::collections::VecDeque;
 
 use crate::events::{ClusterId, PeerId};
-
-/// Response-latency histogram: logarithmic buckets over simulated
-/// seconds. Bucket `i` covers `[2^(i-10), 2^(i-9))` seconds — bucket 0
-/// holds everything below ~1 ms, the last bucket everything from ~2⁸
-/// seconds up. Integer counts, so merging and comparing is exact.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LatencyHistogram {
-    /// Bucket counts.
-    pub buckets: [u64; LATENCY_BUCKETS],
-    /// Total observations.
-    pub count: u64,
-    /// Sum of observed latencies, seconds.
-    pub sum_secs: f64,
-    /// Largest observed latency, seconds.
-    pub max_secs: f64,
-}
-
-/// Number of logarithmic latency buckets.
-pub const LATENCY_BUCKETS: usize = 19;
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        LatencyHistogram {
-            buckets: [0; LATENCY_BUCKETS],
-            count: 0,
-            sum_secs: 0.0,
-            max_secs: 0.0,
-        }
-    }
-}
-
-impl LatencyHistogram {
-    fn bucket_of(secs: f64) -> usize {
-        if secs <= 0.0 {
-            return 0;
-        }
-        let idx = secs.log2().floor() as i64 + 10;
-        idx.clamp(0, LATENCY_BUCKETS as i64 - 1) as usize
-    }
-
-    /// Records one response latency.
-    pub fn record(&mut self, secs: f64) {
-        self.buckets[Self::bucket_of(secs)] += 1;
-        self.count += 1;
-        self.sum_secs += secs;
-        if secs > self.max_secs {
-            self.max_secs = secs;
-        }
-    }
-
-    /// Upper bound of the bucket holding quantile `q` (0 when empty):
-    /// a conservative quantile estimate, exact to within one power of
-    /// two.
-    pub fn quantile_secs(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let rank = ((self.count as f64 * q).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return 2f64.powi(i as i32 - 9);
-            }
-        }
-        self.max_secs
-    }
-
-    /// Mean latency in seconds (0 when empty).
-    pub fn mean_secs(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_secs / self.count as f64
-        }
-    }
-
-    fn snap(&self, w: &mut SnapWriter) {
-        for &b in &self.buckets {
-            w.u64(b);
-        }
-        w.u64(self.count);
-        w.f64(self.sum_secs);
-        w.f64(self.max_secs);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<LatencyHistogram, SnapshotError> {
-        let mut h = LatencyHistogram::default();
-        for b in h.buckets.iter_mut() {
-            *b = r.u64("overload.latency.bucket")?;
-        }
-        h.count = r.u64("overload.latency.count")?;
-        h.sum_secs = r.f64("overload.latency.sum")?;
-        h.max_secs = r.f64("overload.latency.max")?;
-        Ok(h)
-    }
-}
 
 /// One point of the queue-depth/utilization timeline, recorded at
 /// sample ticks when the policy is active.
@@ -183,8 +90,9 @@ pub struct OverloadMetrics {
     pub brownout_queries: u64,
     /// Deepest queue ever observed.
     pub peak_depth: u64,
-    /// Response-latency histogram (admission → completion).
-    pub latency: LatencyHistogram,
+    /// Response latency (admission → completion), nanoseconds of
+    /// simulated time.
+    pub latency: DurationHistogram,
     /// Queue-depth/utilization timeline at sample ticks.
     pub timeline: Vec<OvPoint>,
 }
@@ -206,6 +114,12 @@ impl OverloadMetrics {
     /// (residual entries are shed there) and with an active policy.
     pub fn conserved(&self, queries_issued: u64, queries_lost: u64) -> bool {
         queries_issued == queries_lost + self.accounted()
+    }
+
+    /// The `q`-quantile response latency in seconds: never below the
+    /// true value and at most 1/16 above it (0 when nothing completed).
+    pub fn latency_secs(&self, q: f64) -> f64 {
+        self.latency.quantile_ns(q) as f64 / 1e9
     }
 
     /// Renders the counters as a JSON object (stable key order). The
@@ -232,11 +146,11 @@ impl OverloadMetrics {
             self.brownout_secs,
             self.brownout_queries,
             self.peak_depth,
-            self.latency.count,
-            self.latency.mean_secs(),
-            self.latency.quantile_secs(0.50),
-            self.latency.quantile_secs(0.99),
-            self.latency.max_secs,
+            self.latency.count(),
+            self.latency.mean_ns() / 1e9,
+            self.latency_secs(0.50),
+            self.latency_secs(0.99),
+            self.latency.max_ns() as f64 / 1e9,
         ));
         if timeline_cap > 0 {
             s.push_str(", \"timeline\": [");
@@ -271,7 +185,7 @@ impl OverloadMetrics {
         w.f64(self.brownout_secs);
         w.u64(self.brownout_queries);
         w.u64(self.peak_depth);
-        self.latency.snap(w);
+        w.histogram(&self.latency);
         w.len(self.timeline.len());
         for p in &self.timeline {
             w.f64(p.t);
@@ -284,7 +198,7 @@ impl OverloadMetrics {
 
     /// Restores what [`snap`](Self::snap) wrote.
     pub fn unsnap(r: &mut SnapReader<'_>) -> Result<OverloadMetrics, SnapshotError> {
-        let mut m = OverloadMetrics {
+        Ok(OverloadMetrics {
             delivered: r.u64("overload.delivered")?,
             shed_discipline: r.u64("overload.shed_discipline")?,
             shed_dead: r.u64("overload.shed_dead")?,
@@ -297,21 +211,19 @@ impl OverloadMetrics {
             brownout_secs: r.f64("overload.brownout_secs")?,
             brownout_queries: r.u64("overload.brownout_queries")?,
             peak_depth: r.u64("overload.peak_depth")?,
-            latency: LatencyHistogram::unsnap(r)?,
-            timeline: Vec::new(),
-        };
-        let n = r.len("overload.timeline.len")?;
-        m.timeline.reserve(n);
-        for _ in 0..n {
-            m.timeline.push(OvPoint {
-                t: r.f64("overload.timeline.t")?,
-                queued: r.u64("overload.timeline.queued")?,
-                max_depth: r.u64("overload.timeline.max_depth")?,
-                utilization: r.f64("overload.timeline.utilization")?,
-                browned_out: r.u64("overload.timeline.browned_out")?,
-            });
-        }
-        Ok(m)
+            latency: r.histogram("overload.latency")?,
+            timeline: (0..r.len("overload.timeline.len")?)
+                .map(|_| {
+                    Ok(OvPoint {
+                        t: r.f64("overload.timeline.t")?,
+                        queued: r.u64("overload.timeline.queued")?,
+                        max_depth: r.u64("overload.timeline.max_depth")?,
+                        utilization: r.f64("overload.timeline.utilization")?,
+                        browned_out: r.u64("overload.timeline.browned_out")?,
+                    })
+                })
+                .collect::<Result<_, SnapshotError>>()?,
+        })
     }
 }
 
@@ -464,7 +376,7 @@ impl OverloadState {
             cl.vclock = done;
             cl.busy_secs += s;
             m.delivered += 1;
-            m.latency.record(done - head.arrival);
+            m.latency.record(ns_from_secs(done - head.arrival));
         }
     }
 
@@ -847,9 +759,26 @@ mod tests {
         st.drain(0, 10.0, &mut m);
         assert_eq!(m.delivered, 3);
         // Completions at 1, 2, 3 seconds → latencies 1, 2, 3.
-        assert_eq!(m.latency.count, 3);
-        assert!((m.latency.sum_secs - 6.0).abs() < 1e-9);
-        assert!((m.latency.max_secs - 3.0).abs() < 1e-9);
+        assert_eq!(m.latency.count(), 3);
+        assert_eq!(m.latency.total_ns(), 6_000_000_000);
+        assert_eq!(m.latency.max_ns(), 3_000_000_000);
+    }
+
+    /// Flash-crowd latencies far past 2⁸ seconds are not capped.
+    #[test]
+    fn p99_latency_is_not_capped() {
+        let mut m = OverloadMetrics::default();
+        (0..100).for_each(|_| m.latency.record(ns_from_secs(700.0)));
+        assert!(m.latency_secs(0.99) >= 700.0, "{}", m.latency_secs(0.99));
+    }
+
+    /// A 19.8 s p99 reads within 1/16, not at the next power of two.
+    #[test]
+    fn p99_latency_is_within_one_sixteenth() {
+        let mut m = OverloadMetrics::default();
+        (0..100).for_each(|_| m.latency.record(ns_from_secs(19.8)));
+        let p99 = m.latency_secs(0.99);
+        assert!((19.8..=19.8 * 17.0 / 16.0).contains(&p99), "{p99}");
     }
 
     #[test]

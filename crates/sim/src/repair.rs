@@ -28,7 +28,7 @@
 //! sampling grid would miss).
 
 use crate::events::SimTime;
-use crate::faults::ReconnectHistogram;
+use sp_stats::DurationHistogram;
 
 /// One observation of super-peer overlay connectivity.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -61,8 +61,9 @@ pub struct RepairMetrics {
     /// Client queries issued during a headless window (charged as
     /// lost — there is no super-peer to answer them).
     pub queries_during_outage: u64,
-    /// Time from super-peer death to completed election, per repair.
-    pub time_to_repair: ReconnectHistogram,
+    /// Time from super-peer death to completed election, per repair,
+    /// nanoseconds of simulated time.
+    pub time_to_repair: DurationHistogram,
     /// Connectivity timeline: sample ticks, post-crash probes, and the
     /// final state at simulation end.
     pub reachability: Vec<ReachPoint>,

@@ -84,7 +84,7 @@ impl SimReport {
             cluster_failures: m.cluster_failures,
             orphan_events: m.orphan_events,
             availability: m.availability(),
-            mean_downtime_secs: m.downtime.mean(),
+            mean_downtime_secs: m.faults.reconnect.mean_ns() / 1e9,
             adapt_actions: m.adapt_actions,
             timeline: m.timeline,
         }
@@ -263,7 +263,7 @@ impl CrashStormReport {
             orphan_events: m.orphan_events,
             orphan_gave_up: m.faults.orphan_gave_up,
             availability: m.availability(),
-            mean_reconnect_secs: m.faults.reconnect.mean_secs(),
+            mean_reconnect_secs: m.faults.reconnect.mean_ns() / 1e9,
             repair_promotions: m.repair.promotions,
             repair_partner_recruitments: m.repair.partner_recruitments,
             repair_abandoned: m.repair.abandoned,

@@ -52,10 +52,10 @@
 //! # Streaming metrics
 //!
 //! There is no per-peer resident metrics state at all: each shard keeps
-//! one fixed-width [`ScaleMetrics`] of `u64` counters plus a 16-bucket
-//! hop histogram, merged at finalize. A 1M-peer run's footprint is the
-//! event queue plus the CSR overlay slice — O(peers), tens of bytes per
-//! peer — not O(peers × metrics).
+//! one [`ScaleMetrics`] of `u64` counters, a 16-bucket hop histogram
+//! and an integer wait histogram, merged at finalize. A 1M-peer run's
+//! footprint is the event queue plus the CSR overlay slice — O(peers),
+//! tens of bytes per peer — not O(peers × metrics).
 //!
 //! # Fidelity envelope
 //!
@@ -86,10 +86,15 @@ use sp_model::snapshot::{SnapReader, SnapWriter, SnapshotError, ENGINE_SCALE};
 use sp_model::trials::{panic_message, shard_spans};
 
 use crate::events::IndexedEventQueue;
+use sp_stats::DurationHistogram;
 
 /// Hop histogram width: hops 1..=15 are bucketed exactly, anything
 /// beyond folds into the last bucket. The engine clamps TTL to 15.
 pub const SCALE_MAX_HOPS: usize = 16;
+
+/// Nanoseconds per tick. Waits are whole ticks, so a wait quantile
+/// floored to ticks never reads below the true value.
+pub const NS_PER_TICK: u64 = 1_000_000_000;
 
 /// Largest supported cluster size: member liveness is a `u64` bitmask.
 pub const SCALE_MAX_CLUSTER: usize = 64;
@@ -443,9 +448,7 @@ fn snap_scale_metrics(w: &mut SnapWriter, m: &ScaleMetrics) {
     w.u64(m.ov_brownout_ticks);
     w.u64(m.ov_wait_ticks);
     w.u64(m.ov_peak_depth);
-    for &v in &m.ov_wait_hist {
-        w.u64(v);
-    }
+    w.histogram(&m.ov_wait);
     for &v in &m.hop_hist {
         w.u64(v);
     }
@@ -486,20 +489,17 @@ fn unsnap_scale_metrics(r: &mut SnapReader<'_>) -> Result<ScaleMetrics, Snapshot
         ov_brownout_ticks: r.u64("metrics.ov_brownout_ticks")?,
         ov_wait_ticks: r.u64("metrics.ov_wait_ticks")?,
         ov_peak_depth: r.u64("metrics.ov_peak_depth")?,
-        ov_wait_hist: [0; SCALE_MAX_HOPS],
+        ov_wait: r.histogram("metrics.ov_wait")?,
         hop_hist: [0; SCALE_MAX_HOPS],
     };
-    for v in m.ov_wait_hist.iter_mut() {
-        *v = r.u64("metrics.ov_wait_hist")?;
-    }
     for v in m.hop_hist.iter_mut() {
         *v = r.u64("metrics.hop_hist")?;
     }
     Ok(m)
 }
 
-/// Shard-count-invariant run metrics: fixed-width commutative counters
-/// only, folded in ascending shard order at finalize. `PartialEq`
+/// Shard-count-invariant run metrics: commutative integer counters and
+/// histograms, folded in ascending shard order at finalize. `PartialEq`
 /// compares bitwise — the determinism suite's contract.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ScaleMetrics {
@@ -577,11 +577,9 @@ pub struct ScaleMetrics {
     /// Largest queue depth observed anywhere (merged via `max` — max
     /// is as commutative and associative as addition).
     pub ov_peak_depth: u64,
-    /// Served-query waits by power-of-two buckets: bucket `b` holds
-    /// waits in `[2^(b−1), 2^b)` ticks (bucket 0 is a zero wait, the
-    /// last bucket also holds any overflow). A scan of the cumulative
-    /// counts bounds any latency quantile.
-    pub ov_wait_hist: [u64; SCALE_MAX_HOPS],
+    /// Served-query waits (transit included for re-homed queries),
+    /// recorded as whole ticks of [`NS_PER_TICK`] nanoseconds.
+    pub ov_wait: DurationHistogram,
     /// Deliveries by hop count; bucket 15 also holds any overflow.
     pub hop_hist: [u64; SCALE_MAX_HOPS],
 }
@@ -621,9 +619,7 @@ impl ScaleMetrics {
         self.ov_brownout_ticks += other.ov_brownout_ticks;
         self.ov_wait_ticks += other.ov_wait_ticks;
         self.ov_peak_depth = self.ov_peak_depth.max(other.ov_peak_depth);
-        for (mine, theirs) in self.ov_wait_hist.iter_mut().zip(other.ov_wait_hist.iter()) {
-            *mine += *theirs;
-        }
+        self.ov_wait.merge(&other.ov_wait);
         for (mine, theirs) in self.hop_hist.iter_mut().zip(other.hop_hist.iter()) {
             *mine += *theirs;
         }
@@ -647,25 +643,6 @@ impl ScaleMetrics {
             && self.ov_admitted + self.ov_rehome_admitted == served
     }
 
-    /// Upper bound on the waiting time of the q-quantile served query,
-    /// in ticks, from the power-of-two wait histogram. Returns 0 when
-    /// nothing was served.
-    pub fn ov_wait_quantile_ticks(&self, q: f64) -> u64 {
-        let total: u64 = self.ov_wait_hist.iter().sum();
-        if total == 0 {
-            return 0;
-        }
-        let target = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (b, &count) in self.ov_wait_hist.iter().enumerate() {
-            seen += count;
-            if seen >= target {
-                return if b == 0 { 0 } else { 1u64 << b };
-            }
-        }
-        1u64 << (SCALE_MAX_HOPS - 1)
-    }
-
     /// Total simulation events processed — query arrivals, elections,
     /// and every message that reached a delivery decision. The
     /// events/sec throughput figure in `BENCH_scale.json` is this over
@@ -686,7 +663,6 @@ impl ScaleMetrics {
     /// order, integers only).
     pub fn to_json(&self) -> String {
         let hist: Vec<String> = self.hop_hist.iter().map(|v| v.to_string()).collect();
-        let wait_hist: Vec<String> = self.ov_wait_hist.iter().map(|v| v.to_string()).collect();
         format!(
             concat!(
                 "{{\"peers\": {}, \"clusters\": {}, \"ticks\": {}, ",
@@ -706,7 +682,6 @@ impl ScaleMetrics {
                 "\"ov_degraded\": {}, \"ov_brownout_entries\": {}, ",
                 "\"ov_brownout_ticks\": {}, \"ov_wait_ticks\": {}, ",
                 "\"ov_peak_depth\": {}, \"ov_wait_p99_ticks\": {}, ",
-                "\"ov_wait_hist\": [{}], ",
                 "\"hop_hist\": [{}]}}"
             ),
             self.peers,
@@ -743,8 +718,7 @@ impl ScaleMetrics {
             self.ov_brownout_ticks,
             self.ov_wait_ticks,
             self.ov_peak_depth,
-            self.ov_wait_quantile_ticks(0.99),
-            wait_hist.join(", "),
+            self.ov_wait.quantile_ns(0.99) / NS_PER_TICK,
             hist.join(", "),
         )
     }
@@ -2044,8 +2018,7 @@ impl Reactor<'_> {
         self.metrics.ov_delivered += 1;
         let wait = (t - e.arrival) as u64;
         self.metrics.ov_wait_ticks += wait;
-        let bucket = (u64::BITS - wait.leading_zeros()) as usize;
-        self.metrics.ov_wait_hist[bucket.min(SCALE_MAX_HOPS - 1)] += 1;
+        self.metrics.ov_wait.record(wait * NS_PER_TICK);
         let local = self.state.local(cluster);
         if chance(
             keyed(SALT_HIT, self.params.seed, e.key, cluster as u64),

@@ -6,10 +6,163 @@
 //! deviation bars. [`GroupedStats`] accumulates exactly that.
 //! [`Histogram`] is a plain fixed-width-bin frequency histogram used to
 //! check generated degree sequences against the power law.
+//! [`DurationHistogram`] is the integer log-linear histogram every
+//! simulator duration is recorded in.
 
 use std::collections::BTreeMap;
 
 use crate::summary::OnlineStats;
+
+/// Linear sub-buckets per power of two in a [`DurationHistogram`]: a
+/// bucket is at most `1/SUB_BUCKETS` of its lower edge wide.
+pub const SUB_BUCKETS: u64 = 16;
+const SUB_BITS: u32 = SUB_BUCKETS.trailing_zeros();
+
+/// Integer log-linear (HDR-style) histogram of nanosecond durations.
+///
+/// Values below [`SUB_BUCKETS`] get a bucket each; every power of two
+/// above is split into [`SUB_BUCKETS`] equal sub-buckets, with no
+/// ceiling. A [`quantile_ns`] reading is never below the true quantile
+/// and at most `1/SUB_BUCKETS` above it.
+///
+/// All state is integer, so [`merge`] is commutative and associative
+/// and two histograms compare bitwise. Bucket storage grows to the
+/// highest bucket recorded: an idle instance owns no heap, and the
+/// bucket vector's last entry is always non-zero.
+///
+/// [`quantile_ns`]: DurationHistogram::quantile_ns
+/// [`merge`]: DurationHistogram::merge
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct DurationHistogram {
+    buckets: Vec<u64>,
+    count: u64,
+    total_ns: u64,
+    max_ns: u64,
+}
+
+/// Bucket index of a value.
+fn bucket_of(ns: u64) -> usize {
+    if ns < SUB_BUCKETS {
+        return ns as usize;
+    }
+    let shift = 63 - ns.leading_zeros() - SUB_BITS;
+    ((u64::from(shift) + 1) * SUB_BUCKETS + (ns >> shift) - SUB_BUCKETS) as usize
+}
+
+/// Largest value that lands in bucket `i`.
+fn upper_edge(i: usize) -> u64 {
+    let i = i as u64;
+    if i < SUB_BUCKETS {
+        return i;
+    }
+    let shift = i / SUB_BUCKETS - 1;
+    let lower = (i % SUB_BUCKETS + SUB_BUCKETS) << shift;
+    lower | ((1u64 << shift) - 1)
+}
+
+impl DurationHistogram {
+    /// Records one duration.
+    pub fn record(&mut self, ns: u64) {
+        let i = bucket_of(ns);
+        if i >= self.buckets.len() {
+            self.buckets.resize(i + 1, 0);
+        }
+        self.buckets[i] += 1;
+        self.count += 1;
+        self.total_ns = self.total_ns.saturating_add(ns);
+        self.max_ns = self.max_ns.max(ns);
+    }
+
+    /// Samples recorded.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Sum of recorded durations, nanoseconds (saturating).
+    pub fn total_ns(&self) -> u64 {
+        self.total_ns
+    }
+
+    /// Mean duration in nanoseconds (0 when empty).
+    pub fn mean_ns(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.total_ns as f64 / self.count as f64
+        }
+    }
+
+    /// The `q`-quantile: the upper edge of the bucket holding rank
+    /// `ceil(q·count)` (at least 1), clamped to the maximum. 0 when
+    /// empty.
+    pub fn quantile_ns(&self, q: f64) -> u64 {
+        if self.count == 0 {
+            return 0;
+        }
+        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).clamp(1, self.count);
+        let mut seen = 0u64;
+        for (i, &c) in self.buckets.iter().enumerate() {
+            seen += c;
+            if seen >= rank {
+                return upper_edge(i).min(self.max_ns);
+            }
+        }
+        self.max_ns
+    }
+
+    /// Largest recorded duration, nanoseconds.
+    pub fn max_ns(&self) -> u64 {
+        self.max_ns
+    }
+
+    /// Folds another histogram into this one. The result equals having
+    /// recorded both sample sets into one histogram, in any order.
+    pub fn merge(&mut self, other: &DurationHistogram) {
+        if other.buckets.len() > self.buckets.len() {
+            self.buckets.resize(other.buckets.len(), 0);
+        }
+        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
+            *mine += theirs;
+        }
+        self.count += other.count;
+        self.total_ns = self.total_ns.saturating_add(other.total_ns);
+        self.max_ns = self.max_ns.max(other.max_ns);
+    }
+
+    /// Bucket counts up to the highest non-empty bucket.
+    pub fn buckets(&self) -> &[u64] {
+        &self.buckets
+    }
+
+    /// Rebuilds a histogram from [`buckets`](Self::buckets), `total_ns`
+    /// and `max_ns`; `None` if the last bucket is empty or does not
+    /// hold the maximum, which no recording produces.
+    pub fn from_parts(buckets: Vec<u64>, total_ns: u64, max_ns: u64) -> Option<DurationHistogram> {
+        let empty = buckets.is_empty();
+        let top = if empty && max_ns == 0 {
+            0
+        } else {
+            bucket_of(max_ns) + 1
+        };
+        if buckets.len() != top || buckets.last() == Some(&0) || (empty && total_ns != 0) {
+            return None;
+        }
+        let count = buckets.iter().try_fold(0u64, |n, &c| n.checked_add(c))?;
+        Some(DurationHistogram {
+            buckets,
+            count,
+            total_ns,
+            max_ns,
+        })
+    }
+}
+
+/// Whole nanoseconds in a duration of `secs` seconds, for recording a
+/// simulated time span into a [`DurationHistogram`] (rounded; negative
+/// or NaN spans record as 0).
+pub fn ns_from_secs(secs: f64) -> u64 {
+    (secs * 1e9).round() as u64
+}
 
 /// Fixed-width-bin frequency histogram over `[low, high)`.
 ///
@@ -254,6 +407,51 @@ mod tests {
         }
         let keys: Vec<u64> = g.keys().collect();
         assert_eq!(keys, vec![1, 3, 5, 9]);
+    }
+
+    #[test]
+    fn histogram_buckets_powers_of_two() {
+        // Values below 16 are exact; each power of two above opens a row
+        // of 16 sub-buckets, up to the one holding u64::MAX.
+        for v in 0..SUB_BUCKETS {
+            assert_eq!(upper_edge(bucket_of(v)), v);
+        }
+        for exp in SUB_BITS..64 {
+            let row = bucket_of(1 << exp);
+            assert_eq!(row % SUB_BUCKETS as usize, 0, "2^{exp}");
+            assert_eq!(upper_edge(row - 1), (1 << exp) - 1, "2^{exp} - 1");
+        }
+        assert_eq!(upper_edge(bucket_of(u64::MAX)), u64::MAX);
+        let mut h = DurationHistogram::default();
+        assert!(h.buckets().is_empty(), "an idle histogram owns no heap");
+        for ns in [0u64, 1, 2, 3, 4, 1023, 1024, u64::MAX] {
+            h.record(ns);
+        }
+        assert_eq!((h.count(), h.max_ns()), (8, u64::MAX));
+        assert_eq!(h.quantile_ns(0.5), 3);
+        assert_eq!(h.quantile_ns(0.75), 1023);
+        assert_eq!(h.quantile_ns(0.875), 1024 + 63, "2^10 opens 64-ns buckets");
+        assert_eq!(h.quantile_ns(1.0), u64::MAX);
+    }
+
+    #[test]
+    fn reconnect_histogram_buckets_by_log2() {
+        // Simulated seconds record as whole nanoseconds; each reading
+        // sits at most 1/16 above the recorded time.
+        let mut h = DurationHistogram::default();
+        for secs in [0.0, 0.5, 1.0, 3.0, 1024.0] {
+            h.record(ns_from_secs(secs));
+        }
+        for (q, ns) in [
+            (0.2, 0),
+            (0.4, 5e8 as u64),
+            (0.6, 1e9 as u64),
+            (0.8, 3e9 as u64),
+        ] {
+            assert!((ns..=ns + ns / 16).contains(&h.quantile_ns(q)), "{ns} ns");
+        }
+        assert_eq!((h.count(), h.max_ns()), (5, 1024 * 1_000_000_000));
+        assert_eq!(h.total_ns(), 1_028_500_000_000);
     }
 
     #[test]

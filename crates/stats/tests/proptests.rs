@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use sp_stats::dist::Sampler;
-use sp_stats::{quantile, rank_curve, Empirical, OnlineStats, SpRng, Zipf};
+use sp_stats::{quantile, rank_curve, DurationHistogram, Empirical, OnlineStats, SpRng, Zipf};
 
 proptest! {
     /// Welford merge must agree with sequential accumulation for any
@@ -108,5 +108,41 @@ proptest! {
         let mut rb = root.split(b);
         let equal = (0..8).all(|_| ra.next_raw() == rb.next_raw());
         prop_assert!(!equal);
+    }
+}
+
+/// Records `xs` into a fresh duration histogram.
+fn durations(xs: &[u64]) -> DurationHistogram {
+    let mut h = DurationHistogram::default();
+    xs.iter().for_each(|&x| h.record(x));
+    h
+}
+
+proptest! {
+    /// A duration quantile is never below the exact rank value, at most
+    /// 1/16 above it and never above the maximum; merging is
+    /// order-free and equals recording the union. Each sample is a
+    /// random `u64` shifted right by a random amount, so every
+    /// magnitude occurs.
+    #[test]
+    fn duration_histogram_quantiles_and_merge(
+        a in prop::collection::vec((any::<u64>(), 0u32..64).prop_map(|(x, s)| x >> s), 1..200),
+        b in prop::collection::vec((any::<u64>(), 0u32..64).prop_map(|(x, s)| x >> s), 1..200),
+        q in 0.0f64..1.0,
+    ) {
+        let mut union: Vec<u64> = a.iter().chain(&b).copied().collect();
+        let all = durations(&union);
+        union.sort_unstable();
+        let n = union.len() as u64;
+        let exact = union[((q * n as f64).ceil() as u64).clamp(1, n) as usize - 1];
+        let got = all.quantile_ns(q);
+        prop_assert!(got >= exact, "q {} reported {} below exact {}", q, got, exact);
+        prop_assert!(u128::from(got) * 16 <= u128::from(exact) * 17 && got <= all.max_ns());
+
+        let (mut ab, mut ba) = (durations(&a), durations(&b));
+        ab.merge(&durations(&b));
+        ba.merge(&durations(&a));
+        prop_assert_eq!(&ab, &ba);
+        prop_assert_eq!(&ab, &all);
     }
 }
