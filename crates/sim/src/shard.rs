@@ -1,11 +1,12 @@
 //! Shared-nothing sharded scale simulator.
 //!
-//! The churn engines ([`crate::engine::Simulation`] and its reference
-//! oracle) run one event loop over the whole overlay, which tops out
-//! around 10⁴–10⁵ peers. This module trades their per-peer lifecycle
-//! fidelity for *scale*: a tick-based engine whose state is partitioned
-//! into per-shard single-threaded reactors so million-peer overlays run
-//! in bounded memory with no locks on the hot path.
+//! The churn engine ([`crate::engine::Simulation`], in its production
+//! and its self-verifying oracle instantiation alike) runs one event
+//! loop over the whole overlay, which tops out around 10⁴–10⁵ peers.
+//! This module trades its per-peer lifecycle fidelity for *scale*: a
+//! tick-based engine whose state is partitioned into per-shard
+//! single-threaded reactors so million-peer overlays run in bounded
+//! memory with no locks on the hot path.
 //!
 //! # Shard assignment
 //!
@@ -16,8 +17,8 @@
 //! super-peer, partners, and clients always co-shard — the cluster id
 //! is the peer-id prefix. Each shard builds its own slice of the
 //! overlay (pure-hash power-law outdegrees and edge targets keyed by
-//! `(seed, cluster, slot)`), runs its own
-//! [`IndexedEventQueue`]`<ScaleEvent>`, and owns its slice of every
+//! `(seed, cluster, slot)`), runs its own tick queue (one FIFO bucket
+//! of [`ScaleEvent`]s per pending tick), and owns its slice of every
 //! accumulator. Nothing is shared: shards communicate exclusively
 //! through bounded `std::sync::mpsc` channels drained at tick barriers.
 //!
@@ -29,13 +30,18 @@
 //!    and slots its messages into a future-delivery ring;
 //! 2. applies instantaneous faults due at `t` (crashes, in ascending
 //!    cluster order) and refreshes the active fault windows;
-//! 3. delivers the messages due at `t`, sorted by
-//!    `(src_cluster, seq)` — `seq` is a per-source-cluster counter, so
-//!    the sort key is layout-invariant (the issue's
-//!    `(tick, src_shard, seq)` refined to survive re-sharding, since
-//!    `src_shard` is itself a function of `src_cluster`);
-//! 4. drains its local event queue up to `t` (query arrivals,
-//!    elections);
+//! 3. delivers the messages due at `t` in `(src_cluster, seq)` order —
+//!    `seq` is a per-source-cluster counter, so the key is
+//!    layout-invariant (`(tick, src_shard, seq)` refined to survive
+//!    re-sharding, since `src_shard` is itself a function of
+//!    `src_cluster`). Each source cluster reaches a shard by one FIFO
+//!    route (the local ring or one channel), so a slot already holds
+//!    each source's messages in ascending `seq`, and a stable counting
+//!    sort on `src_cluster` alone produces the order in linear time;
+//! 4. pops tick `t`'s bucket of local events (query arrivals,
+//!    elections) in schedule order — every event lands on a whole tick
+//!    after the one being run, so this is exactly a heap's
+//!    (time, schedule order) order;
 //! 5. sends one batch tagged `t` (possibly empty) to every other
 //!    shard. Channels are `sync_channel(2)`: at most the previous and
 //!    the current tick's batches are ever in flight, so the queues are
@@ -54,8 +60,9 @@
 //! There is no per-peer resident metrics state at all: each shard keeps
 //! one [`ScaleMetrics`] of `u64` counters, a 16-bucket hop histogram
 //! and an integer wait histogram, merged at finalize. A 1M-peer run's
-//! footprint is the event queue plus the CSR overlay slice — O(peers),
-//! tens of bytes per peer — not O(peers × metrics).
+//! footprint is the tick queue (one 24-byte event per pending arrival)
+//! plus the CSR overlay slice — O(peers), tens of bytes per peer — not
+//! O(peers × metrics).
 //!
 //! # Fidelity envelope
 //!
@@ -69,8 +76,8 @@
 //! [`sp_model::faults::RetryPolicy`] is not consulted (flaked
 //! submissions are counted and retried instantly). Fault windows are
 //! pure functions of the tick, so fault injection never needs
-//! cross-shard coordination. The churn engines remain the fidelity
-//! oracles; this one answers "how does the overlay behave at 10⁶
+//! cross-shard coordination. The churn engine remains the fidelity
+//! reference; this one answers "how does the overlay behave at 10⁶
 //! peers", which they cannot.
 
 use std::collections::VecDeque;
@@ -85,7 +92,6 @@ use sp_model::overload::{OverloadPolicy, ShedDiscipline};
 use sp_model::snapshot::{SnapReader, SnapWriter, SnapshotError, ENGINE_SCALE};
 use sp_model::trials::{panic_message, shard_spans};
 
-use crate::events::IndexedEventQueue;
 use sp_stats::DurationHistogram;
 
 /// Hop histogram width: hops 1..=15 are bucketed exactly, anything
@@ -210,6 +216,99 @@ pub enum ScaleEvent {
         /// Global cluster id (always shard-local by construction).
         cluster: u32,
     },
+}
+
+/// A reactor's local event queue: one FIFO bucket per tick.
+/// Every scale event lands on a whole tick strictly after the tick
+/// being executed, so popping the buckets front to back yields exactly
+/// a binary heap's (time, schedule order) order at O(1) per event. The
+/// scale engine never cancels, so there are no handles.
+#[derive(Debug)]
+struct TickQueue {
+    /// Pending events by tick from `next` on, each bucket in schedule
+    /// order. Grown only to the latest tick scheduled and popped at the
+    /// front as ticks open, so its length follows the longest pending
+    /// gap, not the run length.
+    buckets: VecDeque<Vec<ScaleEvent>>,
+    /// The open tick's events not yet popped.
+    due: std::vec::IntoIter<ScaleEvent>,
+    /// Earliest tick that may still be scheduled (the tick of
+    /// `buckets[0]`): one past the open tick, or the first tick to run
+    /// before any tick is opened.
+    next: u32,
+    /// One past the last tick of the run.
+    end: u32,
+    /// Pending events, the open tick's unpopped ones included.
+    len: usize,
+    high_water: usize,
+}
+
+impl TickQueue {
+    /// An empty queue for ticks `[start, end)`.
+    fn new(start: u32, end: u32) -> Self {
+        TickQueue {
+            buckets: VecDeque::new(),
+            due: Vec::new().into_iter(),
+            next: start,
+            end,
+            len: 0,
+            high_water: 0,
+        }
+    }
+
+    /// Appends `event` to tick `tick`'s bucket.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the tick, if `tick` is at or before the open
+    /// tick or at or past the end of the run: such an event could not
+    /// pop in (time, schedule order).
+    fn schedule(&mut self, tick: u32, event: ScaleEvent) {
+        assert!(
+            tick >= self.next && tick < self.end,
+            "scale event scheduled at tick {tick}, outside the open range [{}, {})",
+            self.next,
+            self.end
+        );
+        let at = (tick - self.next) as usize;
+        if at >= self.buckets.len() {
+            self.buckets.resize_with(at + 1, Vec::new);
+        }
+        self.buckets[at].push(event);
+        self.len += 1;
+        self.high_water = self.high_water.max(self.len);
+    }
+
+    /// Makes tick `t`'s events due. Ticks open in order, each once.
+    fn open(&mut self, t: u32) {
+        assert_eq!(t, self.next, "tick {t} opened out of order");
+        debug_assert_eq!(self.due.len(), 0, "tick opened before the last drained");
+        self.due = self.buckets.pop_front().unwrap_or_default().into_iter();
+        self.next = t + 1;
+    }
+
+    /// Pops the open tick's next event in schedule order.
+    fn pop(&mut self) -> Option<ScaleEvent> {
+        let event = self.due.next()?;
+        self.len -= 1;
+        Some(event)
+    }
+
+    /// Largest number of simultaneously pending events ever observed.
+    fn high_water(&self) -> usize {
+        self.high_water
+    }
+
+    /// Every pending event with its tick, in pop order. The open tick
+    /// must be drained.
+    fn into_pending(self) -> Vec<(f64, ScaleEvent)> {
+        debug_assert_eq!(self.due.len(), 0, "open tick not drained");
+        let mut out = Vec::with_capacity(self.len);
+        for (tick, bucket) in (self.next..).zip(self.buckets) {
+            out.extend(bucket.into_iter().map(|e| (tick as f64, e)));
+        }
+        out
+    }
 }
 
 /// What an inter-shard message carries.
@@ -1171,6 +1270,17 @@ impl ShardedSimulation {
             if !time.is_finite() || time < tick as f64 || time >= ticks as f64 {
                 return Err(malformed(format!("event time {time} outside run")));
             }
+            if time.fract() != 0.0 {
+                return Err(malformed(format!("event time {time} is not a whole tick")));
+            }
+            // Every pending event was scheduled at most one arrival gap
+            // past a tick before the resume tick; the tick queue holds a
+            // bucket per tick up to the latest one.
+            if time > tick as f64 + max_arrival_gap(query_rate) {
+                return Err(malformed(format!(
+                    "event time {time} is further ahead than any arrival gap"
+                )));
+            }
             let event = match r.u8("event tag")? {
                 0 => {
                     let peer = r.u64("event peer")?;
@@ -1585,9 +1695,19 @@ fn files_of(seed: u64, peer: u64) -> u64 {
 /// a discretized exponential with the Table 1 per-user query rate,
 /// at least one tick.
 fn arrival_gap(params: &ScaleParams, peer: u64, n: u32) -> u32 {
-    let u = unit(keyed(SALT_ARRIVAL, params.seed, peer, n as u64)).max(1e-12);
+    let u = unit(keyed(SALT_ARRIVAL, params.seed, peer, n as u64)).max(MIN_ARRIVAL_UNIT);
     let dt = (-u.ln() / params.query_rate.max(1e-9)).ceil();
     (dt as u32).max(1)
+}
+
+/// Floor of [`arrival_gap`]'s uniform draw, which bounds the gap.
+const MIN_ARRIVAL_UNIT: f64 = 1e-12;
+
+/// Longest gap [`arrival_gap`] can draw at `query_rate`, in ticks.
+fn max_arrival_gap(query_rate: f64) -> f64 {
+    (-MIN_ARRIVAL_UNIT.ln() / query_rate.max(1e-9))
+        .ceil()
+        .max(1.0)
 }
 
 /// Fault windows active at tick `t`, refreshed once per tick.
@@ -1672,7 +1792,7 @@ struct Reactor<'a> {
     /// Per-owned-cluster overload state; all-default when the policy
     /// is empty (and then never touched).
     ov: Vec<ClusterOvScale>,
-    queue: IndexedEventQueue<ScaleEvent>,
+    queue: TickQueue,
     /// Future-delivery ring, indexed by `deliver_tick % horizon`.
     ring: Vec<Vec<ShardMsg>>,
     /// Per-destination-shard outgoing batches for the current tick.
@@ -1771,8 +1891,7 @@ impl Reactor<'_> {
                 self.metrics.clusters_dead += 1;
             }
         } else if t + 1 < self.params.ticks {
-            self.queue
-                .schedule((t + 1) as f64, ScaleEvent::Election { cluster });
+            self.queue.schedule(t + 1, ScaleEvent::Election { cluster });
         }
     }
 
@@ -2219,7 +2338,7 @@ impl Reactor<'_> {
                         level
                     };
                     self.queue.schedule(
-                        next as f64,
+                        next,
                         ScaleEvent::Query {
                             peer,
                             n: n + 1,
@@ -2263,6 +2382,46 @@ impl Reactor<'_> {
             }
         }
     }
+}
+
+/// Puts one delivery slot in ascending `(src_cluster, seq)` order.
+///
+/// A source cluster reaches a shard by exactly one FIFO route (the
+/// local ring or one channel), and resumed messages are slotted in
+/// sorted order before any new emission, so each source's messages
+/// already sit in ascending `seq`. A stable counting sort on
+/// `src_cluster` alone therefore gives the full order in
+/// O(n + source span).
+fn sort_slot(due: &mut Vec<ShardMsg>, spare: &mut Vec<ShardMsg>, counts: &mut Vec<u32>) {
+    if due.len() < 2 {
+        return;
+    }
+    let (lo, hi) = due.iter().fold((u32::MAX, 0), |(lo, hi), m| {
+        (lo.min(m.src_cluster), hi.max(m.src_cluster))
+    });
+    let span = (hi - lo) as usize + 1;
+    // counts[k] becomes the first output rank of source lo + k.
+    counts.clear();
+    counts.resize(span + 1, 0);
+    for m in due.iter() {
+        counts[(m.src_cluster - lo) as usize + 1] += 1;
+    }
+    for k in 1..=span {
+        counts[k] += counts[k - 1];
+    }
+    spare.clear();
+    spare.resize(due.len(), due[0]);
+    for m in due.iter() {
+        let k = (m.src_cluster - lo) as usize;
+        spare[counts[k] as usize] = *m;
+        counts[k] += 1;
+    }
+    std::mem::swap(due, spare);
+    debug_assert!(
+        due.windows(2)
+            .all(|w| (w[0].src_cluster, w[0].seq) < (w[1].src_cluster, w[1].seq)),
+        "delivery slot not strictly ascending in (src_cluster, seq)"
+    );
 }
 
 /// Everything one shard reactor needs for a (possibly partial) run:
@@ -2354,7 +2513,7 @@ fn run_shard(
         me,
         state,
         ov,
-        queue: IndexedEventQueue::new(),
+        queue: TickQueue::new(t0, params.ticks),
         ring: (0..params.horizon).map(|_| Vec::new()).collect(),
         outbox: (0..shard_starts.len()).map(|_| Vec::new()).collect(),
         windows: ActiveWindows::default(),
@@ -2369,7 +2528,7 @@ fn run_shard(
             // engine's invariance needs — and reload pending messages
             // into the delivery ring (delivery re-sorts per slot).
             for (time, event) in c.events {
-                reactor.queue.schedule(time, event);
+                reactor.queue.schedule(time as u32, event);
             }
             for msg in c.msgs {
                 let slot = (msg.deliver_tick % params.horizon) as usize;
@@ -2390,7 +2549,7 @@ fn run_shard(
                 let first = arrival_gap(params, peer, 0) - 1;
                 if first < params.ticks {
                     reactor.queue.schedule(
-                        first as f64,
+                        first,
                         ScaleEvent::Query {
                             peer,
                             n: 0,
@@ -2403,11 +2562,16 @@ fn run_shard(
     }
 
     let mut due: Vec<ShardMsg> = Vec::new();
+    let mut spare: Vec<ShardMsg> = Vec::new();
+    let mut counts: Vec<u32> = Vec::new();
     for t in t0..t1 {
         progress.store(t, Ordering::Relaxed);
         if inject_at == Some(t) {
             panic!("injected shard panic (test hook) at tick {t}");
         }
+        // Tick t's local events become due; from here on everything
+        // scheduled lands at t+1 or later.
+        reactor.queue.open(t);
 
         // 1. Barrier receive: exactly one batch tagged t−1 from every
         // peer shard, slotted into the delivery ring. The first tick
@@ -2449,19 +2613,14 @@ fn run_shard(
         // order — the layout-invariant global delivery order.
         let slot = (t % params.horizon) as usize;
         std::mem::swap(&mut due, &mut reactor.ring[slot]);
-        due.sort_unstable_by_key(|m| (m.src_cluster, m.seq));
+        sort_slot(&mut due, &mut spare, &mut counts);
         for msg in due.drain(..) {
             reactor.deliver(t, msg);
         }
 
         // 4. Local events due now (query arrivals, elections).
-        while let Some(time) = reactor.queue.peek_time() {
-            if time > t as f64 {
-                break;
-            }
-            if let Some((_, event)) = reactor.queue.pop() {
-                reactor.handle_event(t, event);
-            }
+        while let Some(event) = reactor.queue.pop() {
+            reactor.handle_event(t, event);
         }
 
         // 5. Barrier send: one batch tagged t to every peer shard,
@@ -2472,7 +2631,10 @@ fn run_shard(
         if t + 1 < t1 {
             for (j, tx) in txs.iter().enumerate() {
                 if let Some(tx) = tx {
-                    let msgs = std::mem::take(&mut reactor.outbox[j]);
+                    // Pre-size the next batch to this one's length so
+                    // it does not regrow from empty every tick.
+                    let sent = &mut reactor.outbox[j];
+                    let msgs = std::mem::replace(sent, Vec::with_capacity(sent.len()));
                     tx.send(Batch { tick: t, msgs }).map_err(|_| ShardError {
                         tick: t,
                         reason: format!("peer shard {j} disconnected at the tick-{t} barrier send"),
@@ -2493,10 +2655,7 @@ fn run_shard(
         }
     }
     let carry_out = if keep_state {
-        let mut events = Vec::new();
-        while let Some((time, event)) = reactor.queue.pop() {
-            events.push((time, event));
-        }
+        let events = reactor.queue.into_pending();
         let mut msgs: Vec<ShardMsg> = reactor.ring.drain(..).flatten().collect();
         for outbox in reactor.outbox.drain(..) {
             msgs.extend(outbox);
@@ -3146,6 +3305,233 @@ mod tests {
             &FaultPlan::default(),
         );
         let _ = sim.run();
+    }
+
+    /// `ScaleMetrics::to_json()` of the stormy run (crash, loss, 2-tick
+    /// delay, partition) and of the overloaded run under the same plan,
+    /// recorded while each shard still kept its events in the indexed
+    /// heap and compare-sorted each delivery slot, before the tick queue
+    /// and the counting sort replaced them. The shard-count tests
+    /// cannot see a delivery-order bug that goes wrong the same way at
+    /// every layout; these absolute values can, because loss and delay
+    /// draws are keyed by each emission's sequence number.
+    const GOLDEN_STORMY: &str = concat!(
+        r#"{"peers": 400, "clusters": 40, "ticks": 300, "queries_issued": 1019, "#,
+        r#""queries_failed": 68, "submissions_flaked": 0, "msgs_sent": 6442, "#,
+        r#""msgs_delivered": 5616, "msgs_dropped_loss": 717, "msgs_dropped_partition": 57, "#,
+        r#""msgs_dropped_dead": 0, "msgs_delayed": 1132, "msgs_expired": 29, "#,
+        r#""results_found": 320, "crashes_injected": 17, "elections_held": 17, "#,
+        r#""clusters_dead": 0, "reindex_received": 23, "events_processed": 7546, "#,
+        r#""ov_admitted": 0, "ov_rehome_admitted": 0, "ov_rejected_budget": 0, "#,
+        r#""ov_rejected_queue": 0, "ov_rehome_sent": 0, "ov_handoff_failed": 0, "#,
+        r#""ov_delivered": 0, "ov_shed_discipline": 0, "ov_shed_dead": 0, "#,
+        r#""ov_shed_residual": 0, "ov_degraded": 0, "ov_brownout_entries": 0, "#,
+        r#""ov_brownout_ticks": 0, "ov_wait_ticks": 0, "ov_peak_depth": 0, "#,
+        r#""ov_wait_p99_ticks": 0, "#,
+        r#""hop_hist": [0, 1449, 1779, 2388, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]}"#
+    );
+    const GOLDEN_OVERLOAD: &str = concat!(
+        r#"{"peers": 400, "clusters": 40, "ticks": 300, "queries_issued": 20721, "#,
+        r#""queries_failed": 1178, "submissions_flaked": 0, "msgs_sent": 19657, "#,
+        r#""msgs_delivered": 16244, "msgs_dropped_loss": 1934, "msgs_dropped_partition": 186, "#,
+        r#""msgs_dropped_dead": 0, "msgs_delayed": 3230, "msgs_expired": 25, "#,
+        r#""results_found": 994, "crashes_injected": 17, "elections_held": 17, "#,
+        r#""clusters_dead": 0, "reindex_received": 34, "events_processed": 40339, "#,
+        r#""ov_admitted": 6041, "ov_rehome_admitted": 569, "ov_rejected_budget": 13310, "#,
+        r#""ov_rejected_queue": 41, "ov_rehome_sent": 1329, "ov_handoff_failed": 760, "#,
+        r#""ov_delivered": 5346, "ov_shed_discipline": 1221, "ov_shed_dead": 0, "#,
+        r#""ov_shed_residual": 43, "ov_degraded": 5492, "ov_brownout_entries": 273, "#,
+        r#""ov_brownout_ticks": 10319, "ov_wait_ticks": 21398, "ov_peak_depth": 3, "#,
+        r#""ov_wait_p99_ticks": 7, "#,
+        r#""hop_hist": [0, 7154, 3408, 5682, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]}"#
+    );
+
+    #[test]
+    fn golden_metrics_pin_absolute_output() {
+        let plan = stormy_plan();
+        for shards in [1usize, 4] {
+            let mut stormy = ShardedSimulation::with_faults(&small(), stormy_opts(shards), &plan);
+            assert_eq!(
+                stormy.run().to_json(),
+                GOLDEN_STORMY,
+                "stormy run moved at {shards} shards"
+            );
+            let mut ov = ShardedSimulation::with_faults(&crowded(), overload_opts(shards), &plan);
+            assert_eq!(
+                ov.run().to_json(),
+                GOLDEN_OVERLOAD,
+                "overloaded run moved at {shards} shards"
+            );
+            if shards == 1 {
+                // One shard routes everything through its own ring; the
+                // queue depth peak is the tick queue's high-water mark.
+                let d = (*stormy.diag(), *ov.diag());
+                assert_eq!((d.0.intra_shard_msgs, d.0.queue_high_water), (5696, 377));
+                assert_eq!((d.1.intra_shard_msgs, d.1.queue_high_water), (17698, 416));
+            }
+        }
+    }
+
+    /// Schedules the next event (its id is the schedule-call index) and
+    /// tracks the largest pending count.
+    fn push_event(
+        q: &mut TickQueue,
+        scheduled: &mut Vec<(u32, u64)>,
+        popped: usize,
+        peak: &mut usize,
+        tick: u32,
+    ) {
+        let id = scheduled.len() as u64;
+        q.schedule(tick, ScaleEvent::Election { cluster: id as u32 });
+        scheduled.push((tick, id));
+        *peak = (*peak).max(scheduled.len() - popped);
+    }
+
+    /// Drives a queue over `ticks` ticks the way a reactor does: a seed
+    /// batch, then every popped event schedules up to two follow-ups a
+    /// hash-drawn gap ahead. Returns the schedule calls and the pops,
+    /// each as (tick, id), the largest pending count, and the queue.
+    #[allow(clippy::type_complexity)]
+    fn drive_tick_queue(ticks: u32) -> (Vec<(u32, u64)>, Vec<(u32, u64)>, usize, TickQueue) {
+        let mut q = TickQueue::new(0, ticks);
+        let (mut scheduled, mut popped) = (Vec::new(), Vec::new());
+        let mut peak = 0;
+        for i in 0..50u64 {
+            push_event(&mut q, &mut scheduled, 0, &mut peak, (mix(i) % 8) as u32);
+        }
+        for t in 0..ticks {
+            q.open(t);
+            while let Some(ScaleEvent::Election { cluster }) = q.pop() {
+                popped.push((t, cluster as u64));
+                let h = mix(cluster as u64 ^ 0xABCD);
+                for k in 0..(h % 3) {
+                    let next = t + 1 + ((h >> (8 * k + 8)) % 6) as u32;
+                    if next < ticks {
+                        push_event(&mut q, &mut scheduled, popped.len(), &mut peak, next);
+                    }
+                }
+            }
+        }
+        (scheduled, popped, peak, q)
+    }
+
+    #[test]
+    fn tick_queue_pops_a_stable_sort_by_tick() {
+        // The 24 bytes per pending event the module docs quote.
+        assert_eq!(std::mem::size_of::<ScaleEvent>(), 24);
+        let (scheduled, popped, peak, q) = drive_tick_queue(40);
+        assert!(popped.len() > 100, "the drive was too small to tell");
+        let mut expected = scheduled;
+        expected.sort_by_key(|&(tick, _)| tick);
+        assert_eq!(popped, expected);
+        assert_eq!(q.high_water(), peak);
+        assert!(q.into_pending().is_empty());
+    }
+
+    #[test]
+    fn tick_queue_storage_follows_the_pending_gap() {
+        let mut q = TickQueue::new(0, u32::MAX);
+        q.schedule(3, ScaleEvent::Election { cluster: 3 });
+        q.schedule(7, ScaleEvent::Election { cluster: 7 });
+        assert_eq!(q.buckets.len(), 8);
+        for t in 0..=3 {
+            q.open(t);
+            while q.pop().is_some() {}
+        }
+        assert_eq!(q.buckets.len(), 4);
+        q.schedule(5, ScaleEvent::Election { cluster: 5 });
+        assert_eq!(q.buckets.len(), 4);
+        let pending: Vec<f64> = q.into_pending().into_iter().map(|(t, _)| t).collect();
+        assert_eq!(pending, [5.0, 7.0]);
+    }
+
+    #[test]
+    fn tick_queue_rejects_ticks_outside_the_open_range() {
+        let attempt = |open: Option<u32>, tick: u32| {
+            let mut q = TickQueue::new(0, 10);
+            if let Some(t) = open {
+                for u in 0..=t {
+                    q.open(u);
+                }
+            }
+            let payload = catch_unwind(AssertUnwindSafe(|| {
+                q.schedule(tick, ScaleEvent::Election { cluster: 0 })
+            }))
+            .expect_err("an out-of-range schedule was accepted");
+            panic_message(payload.as_ref()).to_string()
+        };
+        // At and before the open tick, and at and past the run's end.
+        for (open, tick) in [(Some(5), 5), (Some(5), 3), (None, 10), (Some(2), 12)] {
+            let msg = attempt(open, tick);
+            assert!(
+                msg.contains(&format!("tick {tick}")),
+                "panic does not name tick {tick}: {msg}"
+            );
+        }
+        // Before any tick opens, the first tick to run is schedulable.
+        TickQueue::new(0, 10).schedule(0, ScaleEvent::Election { cluster: 0 });
+    }
+
+    #[test]
+    fn misplaced_event_fails_its_shard_by_name() {
+        // An event carried in before the resume tick would pop out of
+        // order; the tick queue refuses it and the supervisor names the
+        // shard that owns it instead of running on misordered.
+        let mut sim = ShardedSimulation::with_faults(&small(), stormy_opts(2), &stormy_plan());
+        sim.run_to(50).unwrap();
+        let resume = sim.resume.as_mut().unwrap();
+        resume
+            .events
+            .push((20.0, ScaleEvent::Election { cluster: 35 }));
+        let failure = sim.try_run().unwrap_err();
+        assert_eq!((failure.shard, failure.tick), (1, 50));
+        assert!(
+            failure.reason.contains("panicked") && failure.reason.contains("tick 20"),
+            "unnamed failure: {}",
+            failure.reason
+        );
+    }
+
+    #[test]
+    fn restore_rejects_fractional_event_times() {
+        let mut sim = ShardedSimulation::with_faults(&small(), stormy_opts(1), &stormy_plan());
+        sim.run_to(40).unwrap();
+        sim.resume.as_mut().unwrap().events[0].0 = 60.5;
+        let snap = sim.snapshot();
+        match ShardedSimulation::restore(&snap, ScaleOptions::default()) {
+            Err(SnapshotError::Malformed(msg)) => assert!(msg.contains("whole tick"), "{msg}"),
+            other => panic!("fractional event time accepted: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn long_run_with_few_peers_checkpoints_in_bounded_memory() {
+        // A run of nearly u32::MAX ticks: queue storage follows the
+        // pending arrival gaps, so neither a run nor a restore reserves
+        // anything per tick of the run.
+        let config = Config {
+            graph_size: 40,
+            ..small()
+        };
+        let opts = ScaleOptions {
+            duration_secs: 4.0e9,
+            ..stormy_opts(2)
+        };
+        let mut sim = ShardedSimulation::new(&config, opts);
+        sim.run_to(30).unwrap();
+        let snap = sim.snapshot();
+        let mut restored = ShardedSimulation::restore(&snap, ScaleOptions::default()).unwrap();
+        sim.run_to(60).unwrap();
+        restored.run_to(60).unwrap();
+        assert_eq!(restored.snapshot(), sim.snapshot());
+
+        // An event past any arrival gap is malformed, not a bucket
+        // array reaching to it.
+        sim.resume.as_mut().unwrap().events[0].0 = 3.9e9;
+        match ShardedSimulation::restore(&sim.snapshot(), ScaleOptions::default()) {
+            Err(SnapshotError::Malformed(msg)) => assert!(msg.contains("arrival gap"), "{msg}"),
+            other => panic!("far-future event time accepted: {other:?}"),
+        }
     }
 
     #[test]
